@@ -1,7 +1,7 @@
 """Seedable multi-agent simulator of a tiered telecare community that
 detects, verifies, and responds to falls of elderly residents."""
 
-from .fso import CaseOutcome, Circle, FsoEngine, FsoEvent, InstanceState, ProtocolInstance, ProtocolKind, Role
+from .fso import CaseOutcome, Circle, FsoEngine, InstanceState, ProtocolInstance, ProtocolKind, Role
 from .metrics import (
     ConfusionCounters,
     CostLedger,
@@ -21,7 +21,6 @@ from .scenario import (
     ScenarioConfig,
     Simulation,
     run_simulation,
-    toss,
 )
 from .sweep import SweepSpec, derive_seed, run_sweep
 from .world import (
@@ -33,7 +32,6 @@ from .world import (
     SensorModel,
     World,
     WorldConfig,
-    place_agents,
     random_walk_step,
     step_toward,
     travel_time,

@@ -16,27 +16,6 @@ from .scenario import Scenario, ScenarioConfig, run_simulation
 from .sweep import DEFAULT_X_VALUES, SweepSpec, emit_csv, run_sweep, write_outputs
 from .world import ConfigurationError, SensorModel, WorldConfig
 
-_CONFIG_KEYS = {
-    "scenario",
-    "ics",
-    "ticks",
-    "seed",
-    "replications",
-    "p_fall",
-    "p_fn",
-    "p_fp",
-    "n_ea",
-    "n_pc",
-    "n_ma",
-    "grid",
-    "count_return_travel",
-    "dispatch_delay",
-    "jobs",
-    "trace",
-    "out",
-}
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "1", "yes"):
@@ -126,33 +105,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(
     parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]
-) -> None:
+) -> argparse.Namespace:
+    """Parse again with the file's values as flags ahead of the explicit ones.
+
+    Each file value goes through its flag's own type check, and an explicit
+    flag wins because argparse keeps the last occurrence.
+    """
     if args.config is None:
-        return
+        return args
     try:
         data = json.loads(args.config.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-    # Explicit command-line flags win over file values.
-    given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
+    file_flags = []
     for key, value in data.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in given:
-            continue
-        if key == "ics":
-            value = _parse_ics(str(value))
-        elif key == "grid":
-            value = _parse_grid(str(value))
-        elif key in ("p_fall", "p_fn", "p_fp"):
-            value = _parse_probability(str(value))
-        elif key in ("trace", "out"):
-            value = Path(value)
-        setattr(args, key, value)
+        if key == "config":
+            parser.error("a config file cannot name another config file")
+        if not isinstance(value, (str, int, float)):
+            parser.error(f"config key {key!r} needs a string, number or boolean")
+        file_flags.append(f"--{key.replace('_', '-')}={value}")
+    # argv[0] is the subcommand, which owns every flag.
+    return parser.parse_args(argv[:1] + file_flags + argv[1:])
 
 
 def _scenario_config(args: argparse.Namespace, n_informal: int, seed: int) -> ScenarioConfig:
@@ -225,8 +200,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
-    _apply_config_file(parser, args, argv)
+    args = _apply_config_file(parser, parser.parse_args(argv), argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

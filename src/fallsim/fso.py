@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .metrics import CostLedger
 from .world import (
@@ -70,7 +70,6 @@ RESOLUTION_LEVEL = {
 
 class InstanceState(Enum):
     READIED = "readied"
-    ESCALATING = "escalating"
     RUNNING = "running"
     COMPLETED = "completed"
     CANCELED = "canceled"
@@ -88,22 +87,11 @@ class EventKind(Enum):
     DISPATCH_CANCELED = "dispatch_canceled"
 
 
-@dataclass(frozen=True, slots=True)
-class FsoEvent:
-    kind: EventKind
-    source_agent_id: int
-    case_id: int
-    tick: int
-    missing_roles: tuple[Role, ...] = ()
-    instance_id: Optional[int] = None
-
-
 @dataclass
 class Circle:
     id: int
     level: int
     coordinator_id: int
-    member_ids: set[int]
     parent: Optional[int] = None
 
 
@@ -166,111 +154,82 @@ class FsoEngine:
         self._next_instance = 0
         self._next_circle = 0
         self._build_circles()
-        self._role_candidates: dict[tuple[int, str], list[int]] = {}
-        for circle in self.circles.values():
-            for role, kind in ROLE_KIND.items():
-                members = [
-                    m for m in sorted(circle.member_ids)
-                    if self.world.agents[m].kind is kind
-                ]
-                if members:
-                    self._role_candidates[(circle.id, role.value)] = members
+        # Candidates per (circle, role): the hospital staff and the top
+        # coordinator in the top circle, the informal carers in the middle
+        # one. Every other pair has none, so its role escalates.
+        top = self.circles[self.level3_id]
+        self._role_candidates: dict[tuple[int, str], list[int]] = {
+            (top.id, Role.NEED_PROFESSIONAL.value): list(world.professional_ids),
+            (top.id, Role.NEED_AMBULANCE.value): list(world.ambulance_ids),
+            (top.id, Role.NEED_TOP_COORDINATOR.value): [top.coordinator_id],
+        }
+        if self.level2_id is not None:
+            self._role_candidates[(self.level2_id, Role.NEED_INFORMAL.value)] = list(
+                world.informal_ids
+            )
 
     # -- structure -----------------------------------------------------------
 
-    def _new_circle(self, level: int, coordinator: int, members: set[int]) -> Circle:
-        circle = Circle(self._next_circle, level, coordinator, members)
+    def _new_circle(self, level: int, coordinator: int, parent: Optional[int]) -> Circle:
+        circle = Circle(self._next_circle, level, coordinator, parent)
         self._next_circle += 1
         self.circles[circle.id] = circle
         return circle
 
     def _build_circles(self) -> None:
         world = self.world
-        top_ca = world.add_coordinator(world.hospital)
-        top_members = set(world.professional_ids) | set(world.ambulance_ids) | {top_ca.id}
-        top = self._new_circle(3, top_ca.id, top_members)
+        top = self._new_circle(3, world.add_coordinator(world.hospital).id, None)
         self.level3_id = top.id
-
-        has_level2 = bool(world.informal_ids)
-        mid: Optional[Circle] = None
-        if has_level2:
-            mid_ca = world.add_coordinator(world.hospital)
-            mid = self._new_circle(2, mid_ca.id, set(world.informal_ids) | {mid_ca.id})
-            mid.parent = top.id
-            top.member_ids.add(mid_ca.id)
-            self.level2_id = mid.id
-
-        device_by_elderly: dict[int, list[int]] = {}
-        for did in world.device_ids:
-            device_by_elderly.setdefault(world.agents[did].watches, []).append(did)
+        parent = top.id
+        if world.informal_ids:
+            mid = self._new_circle(2, world.add_coordinator(world.hospital).id, top.id)
+            self.level2_id = parent = mid.id
         for eid in world.elderly_ids:
-            house = world.agents[eid].position
-            ca = world.add_coordinator(house)
-            members = {eid, ca.id} | set(device_by_elderly.get(eid, ()))
-            circle = self._new_circle(1, ca.id, members)
-            circle.parent = mid.id if mid is not None else top.id
-            if mid is not None:
-                mid.member_ids.add(ca.id)
-            else:
-                top.member_ids.add(ca.id)
-            self.level1_by_elderly[eid] = circle.id
+            ca = world.add_coordinator(world.agents[eid].position)
+            self.level1_by_elderly[eid] = self._new_circle(1, ca.id, parent).id
 
     # -- tracing -------------------------------------------------------------
 
-    def _emit(self, event: FsoEvent, out: list[FsoEvent]) -> None:
-        out.append(event)
+    def _emit(
+        self,
+        kind: EventKind,
+        agent: int,
+        case: int,
+        tick: int,
+        missing: Sequence[Role] = (),
+        instance: Optional[int] = None,
+    ) -> None:
         if self.trace is not None:
             self.trace(
                 {
-                    "tick": event.tick,
-                    "case": event.case_id,
-                    "event": event.kind.value,
-                    "agent": event.source_agent_id,
-                    "instance": event.instance_id,
-                    "missing": [r.value for r in event.missing_roles],
+                    "tick": tick,
+                    "case": case,
+                    "event": kind.value,
+                    "agent": agent,
+                    "instance": instance,
+                    "missing": [r.value for r in missing],
                 }
             )
 
     # -- alarm intake --------------------------------------------------------
 
-    def raise_alarm(self, case, device_id: int, tick: int) -> list[FsoEvent]:
-        """Register a fresh alarm case and run the notification chain."""
+    def raise_alarm(self, case, device_id: int, tick: int) -> None:
+        """Register a fresh alarm case and ready its protocols in the house circle.
+
+        Both protocols are readied before either is launched; this order
+        fixes the instance ids that appear in the trace.
+        """
         self.cases[case.case_id] = case
         self.case_instances[case.case_id] = {}
         self.ledger.treated_cases += 1
-        elderly = self.world.agents[case.ea_id]
-        elderly.pending_case = case.case_id
-        events: list[FsoEvent] = []
+        self.world.agents[case.ea_id].pending_case = case.case_id
+        self._emit(EventKind.FALL_DETECTED, device_id, case.case_id, tick)
         circle = self.circles[self.level1_by_elderly[case.ea_id]]
-        event = FsoEvent(EventKind.FALL_DETECTED, device_id, case.case_id, tick)
-        self._emit(event, events)
-        self.notify(circle, event, tick, events)
-        return events
-
-    # -- coordinator behavior ------------------------------------------------
-
-    def notify(
-        self,
-        circle: Circle,
-        event: FsoEvent,
-        tick: int,
-        events: Optional[list[FsoEvent]] = None,
-    ) -> list[ProtocolInstance]:
-        """React to a notification by readying the associated protocols."""
-        if event.case_id not in self.cases:
-            raise ValueError(f"notification for unknown case {event.case_id}")
-        if events is None:
-            events = []
-        readied: list[ProtocolInstance] = []
-        if event.kind is EventKind.FALL_DETECTED:
-            readied.append(self._ready(ProtocolKind.CARE_DISPATCH, event.case_id, circle))
-            if self.level2_id is not None:
-                readied.append(self._ready(ProtocolKind.VERIFY_VISIT, event.case_id, circle))
-        elif event.kind is EventKind.FALSE_POSITIVE_CONFIRMED:
-            readied.append(self._ready(ProtocolKind.FALSE_ALARM_RELAY, event.case_id, circle))
+        readied = [self._ready(ProtocolKind.CARE_DISPATCH, case.case_id, circle)]
+        if self.level2_id is not None:
+            readied.append(self._ready(ProtocolKind.VERIFY_VISIT, case.case_id, circle))
         for instance in readied:
-            self._launch(instance, tick, events)
-        return readied
+            self._launch(instance, tick)
 
     def _ready(self, kind: ProtocolKind, case_id: int, circle: Circle) -> ProtocolInstance:
         instance = ProtocolInstance(
@@ -287,63 +246,40 @@ class FsoEngine:
             self.case_instances[case_id][kind] = instance.instance_id
         return instance
 
-    def _launch(self, instance: ProtocolInstance, tick: int, events: list[FsoEvent]) -> None:
+    def _launch(self, instance: ProtocolInstance, tick: int) -> None:
         """Enroll, escalating through parents; park and retry if unfillable."""
         circle = self.circles[instance.current_circle]
         ceiling = RESOLUTION_LEVEL[instance.kind]
         while True:
             missing = self.try_enroll(instance, circle, tick)
             if not missing:
-                self._on_running(instance, tick, events)
+                self._on_running(instance, tick)
                 return
             self._emit(
-                FsoEvent(
-                    EventKind.ROLE_EXCEPTION,
-                    circle.coordinator_id,
-                    instance.case_id,
-                    tick,
-                    missing_roles=tuple(missing),
-                    instance_id=instance.instance_id,
-                ),
-                events,
+                EventKind.ROLE_EXCEPTION,
+                circle.coordinator_id,
+                instance.case_id,
+                tick,
+                missing,
+                instance.instance_id,
             )
             if circle.level >= ceiling or circle.parent is None:
-                instance.state = InstanceState.READIED
-                instance.current_circle = circle.id
                 self.retry_queue.append(instance.instance_id)
                 return
-            instance.state = InstanceState.ESCALATING
             circle = self.circles[circle.parent]
             instance.current_circle = circle.id
 
-    def escalate(self, instance: ProtocolInstance, circle: Circle) -> Circle:
-        """Move an unfilled instance to the parent circle."""
-        if circle.parent is None:
-            raise ValueError(f"circle {circle.id} has no parent to escalate to")
-        instance.state = InstanceState.ESCALATING
-        parent = self.circles[circle.parent]
-        instance.current_circle = parent.id
-        return parent
-
     # -- enrollment ----------------------------------------------------------
-
-    def _available(self, agent: AgentState, role: Role) -> bool:
-        if role is Role.NEED_TOP_COORDINATOR:
-            return agent.id == self.circles[self.level3_id].coordinator_id
-        if agent.kind is not ROLE_KIND[role]:
-            return False
-        if agent.kind is AgentKind.INFORMAL_CARER:
-            return agent.status is AgentStatus.RANDOM_WALKING
-        return agent.status is AgentStatus.IDLE
 
     def try_enroll(
         self, instance: ProtocolInstance, circle: Circle, tick: int
     ) -> list[Role]:
         """Bind every required role or report the missing ones.
 
-        Selection per role: nearest qualified available member by travel time
-        to the resident's house, ties broken by lowest agent id. Nothing is
-        bound unless every role can be filled.
+        Selection per role: nearest free candidate by travel time to the
+        resident's house, ties broken by lowest agent id. Informal carers are
+        free while they walk, everyone else while idle (coordinators never
+        leave idle). Nothing is bound unless every role can be filled.
         """
         if instance.state in TERMINAL_STATES:
             raise ValueError("cannot enroll a terminal protocol instance")
@@ -353,11 +289,12 @@ class FsoEngine:
         chosen: list[int] = []
         missing: list[Role] = []
         for role in REQUIRED_ROLES[instance.kind]:
+            free = AgentStatus.RANDOM_WALKING if role is Role.NEED_INFORMAL else AgentStatus.IDLE
             best: Optional[AgentState] = None
             best_key: tuple[int, int] = (0, 0)
             for member_id in self._role_candidates.get((circle.id, role.value), ()):
                 agent = agents[member_id]
-                if member_id in chosen or not self._available(agent, role):
+                if agent.status is not free or member_id in chosen:
                     continue
                 key = (travel_time(agent.position, target, speed), agent.id)
                 if best is None or key < best_key:
@@ -387,7 +324,7 @@ class FsoEngine:
             agent.serving_case = instance.case_id
         return []
 
-    def _on_running(self, instance: ProtocolInstance, tick: int, events: list[FsoEvent]) -> None:
+    def _on_running(self, instance: ProtocolInstance, tick: int) -> None:
         """Kick off protocols whose effect is instantaneous."""
         if instance.kind is ProtocolKind.FALSE_ALARM_RELAY:
             # The relay only hands the confirmed false alarm to the top
@@ -399,12 +336,12 @@ class FsoEngine:
                 instance.case_id,
                 self.circles[self.level3_id],
             )
-            self._launch(cancel, tick, events)
+            self._launch(cancel, tick)
         elif instance.kind is ProtocolKind.DISPATCH_CANCEL:
             instance.state = InstanceState.COMPLETED
-            self._execute_cancel(instance.case_id, tick, events)
+            self._execute_cancel(instance.case_id, tick)
 
-    def _execute_cancel(self, case_id: int, tick: int, events: list[FsoEvent]) -> None:
+    def _execute_cancel(self, case_id: int, tick: int) -> None:
         case = self.cases[case_id]
         dispatch_id = self.case_instances[case_id].get(ProtocolKind.CARE_DISPATCH)
         if dispatch_id is not None:
@@ -413,14 +350,11 @@ class FsoEngine:
                 self.cancel_protocol(dispatch, tick)
         self._close_case(case, CaseOutcome.CANCELED, tick)
         self._emit(
-            FsoEvent(
-                EventKind.DISPATCH_CANCELED,
-                self.circles[self.level3_id].coordinator_id,
-                case_id,
-                tick,
-                instance_id=dispatch_id,
-            ),
-            events,
+            EventKind.DISPATCH_CANCELED,
+            self.circles[self.level3_id].coordinator_id,
+            case_id,
+            tick,
+            instance=dispatch_id,
         )
 
     # -- cancellation and release --------------------------------------------
@@ -463,21 +397,19 @@ class FsoEngine:
 
     # -- per-tick driving ----------------------------------------------------
 
-    def tick_protocols(self, tick: int) -> list[FsoEvent]:
+    def tick_protocols(self, tick: int) -> None:
         """Advance travel, resolve arrivals, and retry parked enrollments."""
-        events: list[FsoEvent] = []
         self._advance_returning(tick)
         # Verification visits resolve before the convoy on ties, so a carer
         # reaching the house the same tick as the ambulance does the check.
         active = [self.instances[i] for i in sorted(self.active)]
         for instance in active:
             if instance.kind is ProtocolKind.VERIFY_VISIT:
-                self._advance_instance(instance, tick, events)
+                self._advance_instance(instance, tick)
         for instance in active:
             if instance.kind is ProtocolKind.CARE_DISPATCH:
-                self._advance_instance(instance, tick, events)
-        self._retry_parked(tick, events)
-        return events
+                self._advance_instance(instance, tick)
+        self._retry_parked(tick)
 
     def _advance_returning(self, tick: int) -> None:
         still: list[int] = []
@@ -501,9 +433,7 @@ class FsoEngine:
         if case is not None:
             case.cost_by_kind[agent.kind] = case.cost_by_kind.get(agent.kind, 0) + ticks
 
-    def _advance_instance(
-        self, instance: ProtocolInstance, tick: int, events: list[FsoEvent]
-    ) -> None:
+    def _advance_instance(self, instance: ProtocolInstance, tick: int) -> None:
         if instance.state is not InstanceState.RUNNING or tick <= instance.enroll_tick:
             return
         agents = [self.world.agents[a] for a in instance.enrolled]
@@ -523,13 +453,11 @@ class FsoEngine:
             arrived = all(a.status is AgentStatus.AT_SCENE for a in agents)
         if arrived:
             if instance.kind is ProtocolKind.VERIFY_VISIT:
-                self._on_verifier_arrival(instance, tick, events)
+                self._on_verifier_arrival(instance, tick)
             else:
-                self._on_convoy_arrival(instance, tick, events)
+                self._on_convoy_arrival(instance, tick)
 
-    def _on_verifier_arrival(
-        self, instance: ProtocolInstance, tick: int, events: list[FsoEvent]
-    ) -> None:
+    def _on_verifier_arrival(self, instance: ProtocolInstance, tick: int) -> None:
         case = self.cases[instance.case_id]
         carer = self.world.agents[instance.enrolled[0]]
         self.ledger.v_informal += 1
@@ -540,20 +468,16 @@ class FsoEngine:
         self.active.discard(instance.instance_id)
         self._release(carer)
         if case.true_fall:
-            self._emit(
-                FsoEvent(EventKind.FALL_CONFIRMED, carer.id, case.case_id, tick),
-                events,
-            )
+            self._emit(EventKind.FALL_CONFIRMED, carer.id, case.case_id, tick)
         else:
-            event = FsoEvent(
-                EventKind.FALSE_POSITIVE_CONFIRMED, carer.id, case.case_id, tick
+            # The carer's circle relays the confirmed false alarm upward.
+            self._emit(EventKind.FALSE_POSITIVE_CONFIRMED, carer.id, case.case_id, tick)
+            relay = self._ready(
+                ProtocolKind.FALSE_ALARM_RELAY, case.case_id, self.circles[self.level2_id]
             )
-            self._emit(event, events)
-            self.notify(self.circles[self.level2_id], event, tick, events)
+            self._launch(relay, tick)
 
-    def _on_convoy_arrival(
-        self, instance: ProtocolInstance, tick: int, events: list[FsoEvent]
-    ) -> None:
+    def _on_convoy_arrival(self, instance: ProtocolInstance, tick: int) -> None:
         case = self.cases[instance.case_id]
         if case.true_fall:
             self.ledger.interventions += 1
@@ -562,14 +486,11 @@ class FsoEngine:
             case.verified_by = AgentKind.AMBULANCE
         self._record_waiting(case, tick)
         self._emit(
-            FsoEvent(
-                EventKind.CARE_ARRIVED,
-                instance.enrolled[0],
-                case.case_id,
-                tick,
-                instance_id=instance.instance_id,
-            ),
-            events,
+            EventKind.CARE_ARRIVED,
+            instance.enrolled[0],
+            case.case_id,
+            tick,
+            instance=instance.instance_id,
         )
         verify_id = self.case_instances[case.case_id].get(ProtocolKind.VERIFY_VISIT)
         if verify_id is not None:
@@ -583,7 +504,7 @@ class FsoEngine:
         self.active.discard(instance.instance_id)
         self._close_case(case, CaseOutcome.SERVED, tick)
 
-    def _retry_parked(self, tick: int, events: list[FsoEvent]) -> None:
+    def _retry_parked(self, tick: int) -> None:
         pending = len(self.retry_queue)
         for _ in range(pending):
             instance_id = self.retry_queue.popleft()
@@ -594,7 +515,7 @@ class FsoEngine:
             if missing:
                 self.retry_queue.append(instance_id)
             else:
-                self._on_running(instance, tick, events)
+                self._on_running(instance, tick)
 
     # -- case closure --------------------------------------------------------
 

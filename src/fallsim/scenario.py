@@ -8,7 +8,7 @@ new tosses until the case terminates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from enum import Enum
 from random import Random
 from typing import Optional, Callable
@@ -76,50 +76,6 @@ class CaseRecord:
     cost_by_kind: dict[AgentKind, int] = field(default_factory=dict)
 
 
-def toss(p: float, rng: Random) -> int:
-    """Bernoulli draw: 1 with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    return 1 if rng.random() < p else 0
-
-
-class DetectorOutcome(Enum):
-    TRUE_ALARM = "true_alarm"
-    MISSED_FALL = "missed_fall"
-    PHANTOM_ALARM = "phantom_alarm"
-    QUIET = "quiet"
-
-
-def single_detector_outcome(p_fall: float, sensor: SensorModel, rng: Random) -> DetectorOutcome:
-    """One resident-tick with a lone detector."""
-    if rng.random() < p_fall:
-        if rng.random() < sensor.p_false_negative:
-            return DetectorOutcome.MISSED_FALL
-        return DetectorOutcome.TRUE_ALARM
-    if rng.random() < sensor.p_false_positive:
-        return DetectorOutcome.PHANTOM_ALARM
-    return DetectorOutcome.QUIET
-
-
-def dual_detector_outcome(p_fall: float, sensor: SensorModel, rng: Random) -> DetectorOutcome:
-    """One resident-tick with two independent detectors.
-
-    A fall is missed only when both detectors miss; a single alarm is raised
-    even when both fire. A phantom is raised when either detector fires.
-    """
-    if rng.random() < p_fall:
-        miss_first = rng.random() < sensor.p_false_negative
-        miss_second = rng.random() < sensor.p_false_negative
-        if miss_first and miss_second:
-            return DetectorOutcome.MISSED_FALL
-        return DetectorOutcome.TRUE_ALARM
-    phantom_first = rng.random() < sensor.p_false_positive
-    phantom_second = rng.random() < sensor.p_false_positive
-    if phantom_first or phantom_second:
-        return DetectorOutcome.PHANTOM_ALARM
-    return DetectorOutcome.QUIET
-
-
 class Simulation:
     """Mutable state of one run; strictly sequential, seeded, reproducible."""
 
@@ -139,7 +95,6 @@ class Simulation:
         self.rng = Random(config.seed)
         self.counters = ConfusionCounters()
         self.ledger = CostLedger()
-        self.trace_records: Optional[list[dict]] = None
         self.trace_sink: Optional[Callable[[dict], None]] = None
         self.engine = FsoEngine(
             self.world,
@@ -155,14 +110,12 @@ class Simulation:
         self._informal_agents = [self.world.agents[i] for i in self.world.informal_ids]
 
     def _trace(self, record: dict) -> None:
-        if self.trace_records is not None:
-            self.trace_records.append(record)
         if self.trace_sink is not None:
             self.trace_sink(record)
 
     # -- sensing -------------------------------------------------------------
 
-    def _raise_case(self, ea_id: int, true_fall: bool, tick: int) -> CaseRecord:
+    def _raise_case(self, ea_id: int, true_fall: bool, tick: int) -> None:
         case = CaseRecord(
             case_id=len(self.cases),
             ea_id=ea_id,
@@ -175,12 +128,19 @@ class Simulation:
         else:
             self.counters.fp += 1
         self.engine.raise_alarm(case, self._device_of[ea_id], tick)
-        return case
 
     def sense_tick(self, tick: int) -> None:
         """Toss every resident without a pending alarm.
 
-        Inlines the detector-outcome helpers; the draw sequence is identical.
+        One uniform draw decides whether the resident falls. Then each
+        detector takes one draw against its miss rate (after a fall) or its
+        phantom rate (otherwise). With one detector ("s1") that draw decides.
+        With two ("s2") a fall is missed only when both detectors miss, and a
+        phantom alarm is raised when either fires; a single alarm is raised
+        even when both fire. Both s2 draws are always taken, even when the
+        first already decides, so the stream layout does not depend on the
+        outcome. A missed fall counts as FN, a quiet tick as TN; an alarm
+        raises a case, counted as TP or FP.
         """
         agents = self.world.agents
         rand = self.rng.random
@@ -247,20 +207,6 @@ class Simulation:
         )
 
 
-def s1_tick(sim: Simulation, tick: int) -> None:
-    """Single-detector sensing pass (thin alias over the simulation state)."""
-    if sim.config.scenario is not Scenario.SINGLE_DETECTOR:
-        raise ValueError("s1_tick requires a single-detector configuration")
-    sim.sense_tick(tick)
-
-
-def s2_tick(sim: Simulation, tick: int) -> None:
-    """Dual-detector sensing pass."""
-    if sim.config.scenario is not Scenario.DUAL_DETECTOR:
-        raise ValueError("s2_tick requires a dual-detector configuration")
-    sim.sense_tick(tick)
-
-
 def config_to_dict(config: ScenarioConfig) -> dict:
     d = asdict(config)
     d["scenario"] = config.scenario.value
@@ -277,7 +223,3 @@ def run_simulation(
     sim = Simulation(config)
     sim.trace_sink = trace_sink
     return sim.run(audit_every=audit_every)
-
-
-def with_overrides(config: ScenarioConfig, **kw) -> ScenarioConfig:
-    return replace(config, **kw)

@@ -11,12 +11,12 @@ import hashlib
 import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
 
 from .metrics import CSV_COLUMNS, MetricsReport
-from .scenario import Scenario, ScenarioConfig, config_to_dict, run_simulation, with_overrides
+from .scenario import Scenario, ScenarioConfig, config_to_dict, run_simulation
+from .world import ConfigurationError
 
 DEFAULT_X_VALUES = tuple(range(0, 45, 5))
 
@@ -61,13 +61,13 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise ConfigurationError("replications must be >= 1")
         if not self.x_values:
-            raise ValueError("x_values must be non-empty")
+            raise ConfigurationError("x_values must be non-empty")
 
     def cell_config(self, x_index: int, replication: int) -> ScenarioConfig:
         seed = derive_seed(self.base_seed, self.scenario, x_index, replication)
-        return with_overrides(
+        return replace(
             self.base_config,
             scenario=self.scenario,
             n_informal=self.x_values[x_index],
@@ -88,10 +88,6 @@ class SweepResult:
     aggregates: list[AggregateRow]
 
 
-def _run_cell(config: ScenarioConfig) -> MetricsReport:
-    return run_simulation(config)
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Execute every cell and aggregate per x value.
 
@@ -105,9 +101,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     ]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            flat = list(pool.map(_run_cell, configs))
+            flat = list(pool.map(run_simulation, configs))
     else:
-        flat = [_run_cell(c) for c in configs]
+        flat = [run_simulation(c) for c in configs]
     reports = [
         flat[i * spec.replications : (i + 1) * spec.replications]
         for i in range(len(spec.x_values))

@@ -118,27 +118,18 @@ def travel_time(a: Position, b: Position, speed: int = 1) -> int:
     return -(-chebyshev(a, b) // speed)
 
 
-def place_agents(
-    config: WorldConfig,
-    rng: Random,
-    n_informal: int = 0,
-    detectors_per_elderly: int = 1,
-) -> list[AgentState]:
-    """Place the full roster; deterministic in the supplied rng state.
-
-    Houses and the hospital occupy distinct cells chosen uniformly without
-    replacement. Professionals and ambulances start at the hospital; informal
-    carers start at uniformly random cells, already walking.
-    """
-    return _place(config, rng, n_informal, detectors_per_elderly)[0]
-
-
 def _place(
     config: WorldConfig,
     rng: Random,
     n_informal: int,
     detectors_per_elderly: int,
 ) -> tuple[list[AgentState], Position]:
+    """Place the full roster and the hospital; deterministic in the rng state.
+
+    Houses and the hospital occupy distinct cells chosen uniformly without
+    replacement. Professionals and ambulances start at the hospital; informal
+    carers start at uniformly random cells, already walking.
+    """
     if n_informal < 0 or detectors_per_elderly < 0:
         raise ConfigurationError("agent counts must be non-negative")
     n_cells = config.width * config.height

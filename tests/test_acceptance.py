@@ -9,13 +9,14 @@ Expensive run collections are shared through module-scoped fixtures:
 * ``s1_sweeps`` / ``s2_sweeps`` — 10 independent sweep repetitions over
   X in {0, 10, 20, 40} with 10 replications each (criteria 3 and 4).
   The trend assertions only reference those four axis points, so the other
-  axis values are skipped to keep the gate inside a single-core time budget;
-  criterion 8 still exercises one full nine-point sweep.
+  axis values are skipped; criterion 8 still exercises one full nine-point
+  sweep. These sweeps run on up to four worker processes. Every cell has its
+  own derived seed, so the results do not depend on the worker count.
 """
 import math
+import os
 import sys
 import time
-from random import Random
 
 import pytest
 
@@ -29,17 +30,9 @@ from fallsim.metrics import (
     sensitivity,
     specificity,
 )
-from fallsim.scenario import (
-    DetectorOutcome,
-    Scenario,
-    ScenarioConfig,
-    Simulation,
-    dual_detector_outcome,
-    run_simulation,
-    single_detector_outcome,
-)
+from fallsim.scenario import Scenario, ScenarioConfig, Simulation, run_simulation
 from fallsim.sweep import SweepSpec, run_sweep
-from fallsim.world import SensorModel
+from fallsim.world import SensorModel, WorldConfig
 
 BASELINE_SEEDS = 20
 SWEEP_X_VALUES = (0, 10, 20, 40)
@@ -71,6 +64,7 @@ def _sweeps(scenario: Scenario):
                 x_values=SWEEP_X_VALUES,
                 replications=10,
                 base_seed=base_seed,
+                jobs=min(4, os.cpu_count() or 1),
             )
         )
         for base_seed in range(SWEEP_REPETITIONS)
@@ -205,23 +199,35 @@ def test_criterion_4_verification_shift(s1_baseline, s1_sweeps):
 
 
 def test_criterion_5_sensor_composition_oracles():
-    n = 100_000
+    """Monte Carlo oracles of detector composition, read off full runs.
+
+    With p_fall = 1 every toss is a fall, so TP / (TP + FN) is the per-fall
+    alarm rate; with p_fall = 0 none is, so FP / (FP + TN) is the per-tick
+    phantom rate. n is the number of tosses the run made. The alarm runs use
+    a 5x5 grid holding 24 houses and a convoy for every alarm, so residents
+    are tossed again soon after raising one.
+    """
     sensor = SensorModel(p_false_negative=1 / 5, p_false_positive=1 / 500)
-    rng = Random(2024)
-
-    def mc(outcome_fn, p_fall, wanted):
-        return sum(
-            outcome_fn(p_fall, sensor, rng) is wanted for _ in range(n)
-        )
-
+    quick_turnaround = WorldConfig(
+        half_width=2, half_height=2, n_elderly=24, n_professional=40, n_ambulances=40
+    )
+    s1, s2 = Scenario.SINGLE_DETECTOR, Scenario.DUAL_DETECTOR
     checks = []
-    for label, fn, p_fall, wanted, p in [
-        ("s1 alarm", single_detector_outcome, 1.0, DetectorOutcome.TRUE_ALARM, 1 - 1 / 5),
-        ("s2 alarm", dual_detector_outcome, 1.0, DetectorOutcome.TRUE_ALARM, 1 - (1 / 5) ** 2),
-        ("s1 phantom", single_detector_outcome, 0.0, DetectorOutcome.PHANTOM_ALARM, 1 / 500),
-        ("s2 phantom", dual_detector_outcome, 0.0, DetectorOutcome.PHANTOM_ALARM, 1 - (499 / 500) ** 2),
+    for label, scenario, p_fall, p in [
+        ("s1 alarm", s1, 1.0, 1 - 1 / 5),
+        ("s2 alarm", s2, 1.0, 1 - (1 / 5) ** 2),
+        ("s1 phantom", s1, 0.0, 1 / 500),
+        ("s2 phantom", s2, 0.0, 1 - (499 / 500) ** 2),
     ]:
-        hits = mc(fn, p_fall, wanted)
+        if p_fall:
+            config = ScenarioConfig(
+                scenario=scenario, p_fall=p_fall, sensor=sensor, world=quick_turnaround,
+                ticks=2_000, dispatch_delay=0, seed=2024,
+            )
+        else:
+            config = ScenarioConfig(scenario=scenario, p_fall=p_fall, sensor=sensor, seed=2024)
+        r = run_simulation(config).to_dict()
+        hits, n = (r["tp"], r["tp"] + r["fn"]) if p_fall else (r["fp"], r["fp"] + r["tn"])
         sigma = math.sqrt(n * p * (1 - p))
         checks.append((label, hits, n * p, 3 * sigma, abs(hits - n * p) <= 3 * sigma))
     ok = all(c[-1] for c in checks)

@@ -2,7 +2,8 @@
 
 These tests pin the protocol engine to hand-traced miniature worlds: one or
 two houses on a small grid with the hospital a known distance away, so every
-arrival tick and accrued cost can be computed by hand.
+arrival tick and accrued cost can be computed by hand. Events are read from
+the engine's trace records, its only event output.
 """
 from random import Random
 
@@ -38,7 +39,11 @@ def build(
     dispatch_delay=0,
     count_return_travel=True,
 ):
-    """A pinned layout: houses at (0,0), (0,4), ...; hospital at (8,0)."""
+    """A pinned layout: houses at (0,0), (0,4), ...; hospital at (8,0).
+
+    Returns the world, the ledger, the engine and the list its trace
+    records are appended to.
+    """
     config = WorldConfig(
         half_width=8, half_height=8, n_elderly=n_elderly,
         n_professional=n_pc, n_ambulances=n_ma,
@@ -56,36 +61,40 @@ def build(
     for cid, pos in zip(world.informal_ids, ic_positions):
         world.agents[cid].position = pos
     ledger = CostLedger()
+    records = []
     engine = FsoEngine(
         world,
         ledger,
         dispatch_delay=dispatch_delay,
         count_return_travel=count_return_travel,
+        trace=records.append,
     )
-    return world, ledger, engine
+    return world, ledger, engine, records
 
 
 def raise_case(engine, world, case_id, elderly_index=0, true_fall=True, tick=0):
     eid = world.elderly_ids[elderly_index]
     device = next(d for d in world.device_ids if world.agents[d].watches == eid)
     case = CaseRecord(case_id=case_id, ea_id=eid, true_fall=true_fall, raised_tick=tick)
-    events = engine.raise_alarm(case, device, tick)
-    return case, events
+    engine.raise_alarm(case, device, tick)
+    return case
 
 
-def run_until(engine, predicate, start=1, limit=200):
+def run_until(engine, records, predicate, start=1, limit=200):
+    """Tick until predicate() holds; return that tick and the records it emitted."""
     for tick in range(start, limit):
-        events = engine.tick_protocols(tick)
+        seen = len(records)
+        engine.tick_protocols(tick)
         engine.audit()
-        if predicate(tick, events):
-            return tick, events
+        if predicate():
+            return tick, records[seen:]
     raise AssertionError("condition not reached within tick limit")
 
 
 class TestReadyingAndEscalation:
     def test_alarm_without_carers_readies_only_dispatch(self):
-        world, _, engine = build()
-        case, events = raise_case(engine, world, 0)
+        world, _, engine, _ = build()
+        raise_case(engine, world, 0)
         kinds = {i.kind for i in engine.instances.values()}
         assert kinds == {ProtocolKind.CARE_DISPATCH}
         dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
@@ -93,32 +102,24 @@ class TestReadyingAndEscalation:
         assert engine.circles[dispatch.current_circle].level == 3
 
     def test_alarm_with_carers_readies_dispatch_and_verify(self):
-        world, _, engine = build(ic_positions=(Position(0, 3),))
+        world, _, engine, _ = build(ic_positions=(Position(0, 3),))
         raise_case(engine, world, 0)
         verify = engine.instances[engine.case_instances[0][ProtocolKind.VERIFY_VISIT]]
         assert verify.state is InstanceState.RUNNING
         assert engine.circles[verify.current_circle].level == 2
 
     def test_escalation_emits_role_exceptions_within_one_tick(self):
-        world, _, engine = build(ic_positions=(Position(2, 2),))
-        case, events = raise_case(engine, world, 0, tick=0)
-        exceptions = [e for e in events if e.kind is EventKind.ROLE_EXCEPTION]
+        world, _, engine, records = build(ic_positions=(Position(2, 2),))
+        raise_case(engine, world, 0, tick=0)
+        exceptions = [r for r in records if r["event"] == EventKind.ROLE_EXCEPTION.value]
         # The house circle can satisfy neither protocol; the middle circle
         # cannot satisfy the dispatch. All escalation happens at tick 0.
         assert len(exceptions) >= 3
-        assert all(e.tick == 0 for e in exceptions)
-        missing = {role for e in exceptions for role in e.missing_roles}
-        assert Role.NEED_PROFESSIONAL in missing
-        assert Role.NEED_AMBULANCE in missing
-        assert Role.NEED_INFORMAL in missing
-
-    def test_notify_unknown_case_rejected(self):
-        world, _, engine = build()
-        from fallsim.fso import FsoEvent
-
-        event = FsoEvent(EventKind.FALL_DETECTED, 0, case_id=99, tick=0)
-        with pytest.raises(ValueError):
-            engine.notify(engine.circles[engine.level3_id], event, 0)
+        assert all(r["tick"] == 0 for r in exceptions)
+        missing = {role for r in exceptions for role in r["missing"]}
+        assert Role.NEED_PROFESSIONAL.value in missing
+        assert Role.NEED_AMBULANCE.value in missing
+        assert Role.NEED_INFORMAL.value in missing
 
     def test_protocol_role_tables(self):
         assert REQUIRED_ROLES[ProtocolKind.CARE_DISPATCH] == (
@@ -133,7 +134,7 @@ class TestEnrollment:
     def test_nearest_carer_wins_then_lowest_id(self):
         # Travel times to the house at (0,0): 5, 3, 3 — the tie at 3 goes to
         # the lower agent id.
-        world, _, engine = build(
+        world, _, engine, _ = build(
             ic_positions=(Position(5, 0), Position(3, 0), Position(0, 3))
         )
         ids = world.informal_ids
@@ -142,7 +143,7 @@ class TestEnrollment:
         assert verify.enrolled == [ids[1]]
 
     def test_enrollment_is_all_or_nothing(self):
-        world, _, engine = build(n_pc=1, n_ma=0)
+        world, _, engine, _ = build(n_pc=1, n_ma=0)
         raise_case(engine, world, 0)
         dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
         assert dispatch.state is InstanceState.READIED
@@ -152,7 +153,7 @@ class TestEnrollment:
         assert pc.status is AgentStatus.IDLE
 
     def test_terminal_instance_cannot_reenroll(self):
-        world, _, engine = build()
+        world, _, engine, _ = build()
         raise_case(engine, world, 0)
         dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
         engine.cancel_protocol(dispatch, 1)
@@ -160,7 +161,7 @@ class TestEnrollment:
             engine.try_enroll(dispatch, engine.circles[engine.level3_id], 2)
 
     def test_exhausted_resources_park_in_retry_queue(self):
-        world, _, engine = build(n_elderly=2, n_pc=1, n_ma=1)
+        world, _, engine, _ = build(n_elderly=2, n_pc=1, n_ma=1)
         raise_case(engine, world, 0, elderly_index=0)
         raise_case(engine, world, 1, elderly_index=1)
         first = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
@@ -170,18 +171,19 @@ class TestEnrollment:
         assert list(engine.retry_queue) == [second.instance_id]
 
     def test_parked_dispatch_runs_after_convoy_returns(self):
-        world, ledger, engine = build(n_elderly=2, n_pc=1, n_ma=1)
-        case_a, _ = raise_case(engine, world, 0, elderly_index=0, true_fall=True)
-        case_b, _ = raise_case(engine, world, 1, elderly_index=1, true_fall=True)
-        run_until(engine, lambda t, ev: case_a.terminal_tick is not None)
+        world, ledger, engine, records = build(n_elderly=2, n_pc=1, n_ma=1)
+        case_a = raise_case(engine, world, 0, elderly_index=0, true_fall=True)
+        case_b = raise_case(engine, world, 1, elderly_index=1, true_fall=True)
+        run_until(engine, records, lambda: case_a.terminal_tick is not None)
         second = engine.instances[engine.case_instances[1][ProtocolKind.CARE_DISPATCH]]
         assert second.state is InstanceState.READIED  # crew still returning
         run_until(
             engine,
-            lambda t, ev: second.state is InstanceState.RUNNING,
+            records,
+            lambda: second.state is InstanceState.RUNNING,
             start=case_a.terminal_tick + 1,
         )
-        run_until(engine, lambda t, ev: case_b.terminal_tick is not None,
+        run_until(engine, records, lambda: case_b.terminal_tick is not None,
                   start=second.enroll_tick + 1)
         assert ledger.interventions == 2
 
@@ -189,15 +191,15 @@ class TestEnrollment:
 class TestFalseAlarmChain:
     def test_carer_confirmation_cancels_dispatch_same_tick(self):
         # Carer 2 cells out; convoy held by a long mobilization delay.
-        world, ledger, engine = build(
+        world, ledger, engine, records = build(
             ic_positions=(Position(2, 0),), dispatch_delay=50
         )
-        case, _ = raise_case(engine, world, 0, true_fall=False, tick=0)
-        tick, events = run_until(engine, lambda t, ev: case.terminal_tick is not None)
+        case = raise_case(engine, world, 0, true_fall=False, tick=0)
+        tick, emitted = run_until(engine, records, lambda: case.terminal_tick is not None)
         assert tick == 2  # enroll at 0, move at 1 and 2
-        kinds = [e.kind for e in events]
-        assert EventKind.FALSE_POSITIVE_CONFIRMED in kinds
-        assert EventKind.DISPATCH_CANCELED in kinds
+        kinds = [r["event"] for r in emitted]
+        assert EventKind.FALSE_POSITIVE_CONFIRMED.value in kinds
+        assert EventKind.DISPATCH_CANCELED.value in kinds
         assert case.outcome.value == "canceled"
         assert case.waiting_time == 2
         assert ledger.v_informal == 1
@@ -210,26 +212,28 @@ class TestFalseAlarmChain:
         assert world.agents[case.ea_id].pending_case is None
 
     def test_true_fall_confirmation_keeps_dispatch_running(self):
-        world, ledger, engine = build(ic_positions=(Position(2, 0),), dispatch_delay=0)
-        case, _ = raise_case(engine, world, 0, true_fall=True, tick=0)
-        tick, events = run_until(
-            engine, lambda t, ev: any(e.kind is EventKind.FALL_CONFIRMED for e in ev)
+        world, ledger, engine, records = build(ic_positions=(Position(2, 0),), dispatch_delay=0)
+        case = raise_case(engine, world, 0, true_fall=True, tick=0)
+        tick, _ = run_until(
+            engine,
+            records,
+            lambda: any(r["event"] == EventKind.FALL_CONFIRMED.value for r in records),
         )
         assert tick == 2
         assert case.waiting_time == 2  # frozen at verification
         assert case.terminal_tick is None
         dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
         assert dispatch.state is InstanceState.RUNNING
-        run_until(engine, lambda t, ev: case.terminal_tick is not None, start=tick + 1)
+        run_until(engine, records, lambda: case.terminal_tick is not None, start=tick + 1)
         assert case.outcome.value == "served"
         assert case.waiting_time == 2  # unchanged by the later arrival
         assert ledger.interventions == 1
         assert ledger.sum_wt == 2
 
     def test_convoy_verifies_phantom_when_no_carers_exist(self):
-        world, ledger, engine = build(dispatch_delay=0)
-        case, _ = raise_case(engine, world, 0, true_fall=False, tick=0)
-        tick, _ = run_until(engine, lambda t, ev: case.terminal_tick is not None)
+        world, ledger, engine, records = build(dispatch_delay=0)
+        case = raise_case(engine, world, 0, true_fall=False, tick=0)
+        tick, _ = run_until(engine, records, lambda: case.terminal_tick is not None)
         assert tick == 8  # Chebyshev distance hospital -> house
         assert case.outcome.value == "served"
         assert case.verified_by is AgentKind.AMBULANCE
@@ -239,7 +243,7 @@ class TestFalseAlarmChain:
 
 class TestCancellation:
     def test_cancel_is_idempotent_and_frees_agents(self):
-        world, _, engine = build(dispatch_delay=0)
+        world, _, engine, _ = build(dispatch_delay=0)
         raise_case(engine, world, 0)
         dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
         engine.tick_protocols(1)  # convoy takes one step
@@ -254,7 +258,7 @@ class TestCancellation:
         engine.audit()
 
     def test_canceled_carer_resumes_walking_immediately(self):
-        world, _, engine = build(ic_positions=(Position(6, 6),), dispatch_delay=0)
+        world, _, engine, _ = build(ic_positions=(Position(6, 6),), dispatch_delay=0)
         raise_case(engine, world, 0)
         verify = engine.instances[engine.case_instances[0][ProtocolKind.VERIFY_VISIT]]
         engine.tick_protocols(1)
@@ -264,9 +268,9 @@ class TestCancellation:
         assert carer.instance_id is None
 
     def test_finalize_closes_everything(self):
-        world, _, engine = build(n_elderly=2, n_pc=1, n_ma=1, dispatch_delay=50)
-        case_a, _ = raise_case(engine, world, 0, elderly_index=0)
-        case_b, _ = raise_case(engine, world, 1, elderly_index=1)
+        world, _, engine, _ = build(n_elderly=2, n_pc=1, n_ma=1, dispatch_delay=50)
+        case_a = raise_case(engine, world, 0, elderly_index=0)
+        case_b = raise_case(engine, world, 1, elderly_index=1)
         engine.tick_protocols(1)
         engine.finalize(final_tick=1)
         for case in (case_a, case_b):
@@ -284,14 +288,15 @@ class TestCancellation:
 class TestCostAccrual:
     def test_convoy_cost_mobilization_travel_and_return(self):
         # delay 3, distance 8: each crew member accrues 3 + 8 + 8 = 19.
-        world, ledger, engine = build(dispatch_delay=3, count_return_travel=True)
-        case, _ = raise_case(engine, world, 0, true_fall=True, tick=0)
-        arrival, _ = run_until(engine, lambda t, ev: case.terminal_tick is not None)
+        world, ledger, engine, records = build(dispatch_delay=3, count_return_travel=True)
+        case = raise_case(engine, world, 0, true_fall=True, tick=0)
+        arrival, _ = run_until(engine, records, lambda: case.terminal_tick is not None)
         assert arrival == 3 + 8  # first move at tick 4, arrive at tick 11
         assert case.waiting_time == 11
         run_until(
             engine,
-            lambda t, ev: world.agents[world.ambulance_ids[0]].status is AgentStatus.IDLE,
+            records,
+            lambda: world.agents[world.ambulance_ids[0]].status is AgentStatus.IDLE,
             start=arrival + 1,
         )
         assert ledger.sc(AgentKind.AMBULANCE) == 19
@@ -299,22 +304,23 @@ class TestCostAccrual:
         assert case.cost_by_kind[AgentKind.AMBULANCE] == 19
 
     def test_return_leg_can_be_excluded(self):
-        world, ledger, engine = build(dispatch_delay=3, count_return_travel=False)
-        case, _ = raise_case(engine, world, 0, true_fall=True, tick=0)
+        world, ledger, engine, records = build(dispatch_delay=3, count_return_travel=False)
+        case = raise_case(engine, world, 0, true_fall=True, tick=0)
         run_until(
             engine,
-            lambda t, ev: world.agents[world.ambulance_ids[0]].status is AgentStatus.IDLE,
+            records,
+            lambda: world.agents[world.ambulance_ids[0]].status is AgentStatus.IDLE,
         )
         assert ledger.sc(AgentKind.AMBULANCE) == 11
 
     def test_carer_cost_stops_at_arrival(self):
-        world, ledger, engine = build(ic_positions=(Position(4, 0),), dispatch_delay=50)
-        case, _ = raise_case(engine, world, 0, true_fall=False, tick=0)
-        run_until(engine, lambda t, ev: case.terminal_tick is not None)
+        world, ledger, engine, records = build(ic_positions=(Position(4, 0),), dispatch_delay=50)
+        case = raise_case(engine, world, 0, true_fall=False, tick=0)
+        run_until(engine, records, lambda: case.terminal_tick is not None)
         assert ledger.sc(AgentKind.INFORMAL_CARER) == 4
 
     def test_waiting_time_recorded_once(self):
-        world, ledger, engine = build(ic_positions=(Position(2, 0),), dispatch_delay=0)
-        case, _ = raise_case(engine, world, 0, true_fall=True, tick=0)
-        run_until(engine, lambda t, ev: case.terminal_tick is not None)
+        world, ledger, engine, records = build(ic_positions=(Position(2, 0),), dispatch_delay=0)
+        case = raise_case(engine, world, 0, true_fall=True, tick=0)
+        run_until(engine, records, lambda: case.terminal_tick is not None)
         assert ledger.sum_wt == case.waiting_time == 2

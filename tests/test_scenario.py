@@ -4,25 +4,13 @@ Statistical assertions use generous sigma bounds on fixed seeds, so they are
 deterministic in practice while still catching wrong formulas.
 """
 import math
-from random import Random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fallsim.scenario import (
-    DetectorOutcome,
-    Scenario,
-    ScenarioConfig,
-    Simulation,
-    dual_detector_outcome,
-    run_simulation,
-    s1_tick,
-    s2_tick,
-    single_detector_outcome,
-    toss,
-    with_overrides,
-)
+from fallsim.scenario import Scenario, ScenarioConfig, Simulation, run_simulation
 from fallsim.world import ConfigurationError, SensorModel, WorldConfig
 
 
@@ -38,6 +26,12 @@ class ScriptedRng:
 
 SENSOR = SensorModel(p_false_negative=1 / 5, p_false_positive=1 / 500)
 
+#: 24 houses and the hospital fill a 5x5 grid, and a convoy is free for every
+#: alarm, so a resident is tossed again a few ticks after raising one.
+QUICK_TURNAROUND = WorldConfig(
+    half_width=2, half_height=2, n_elderly=24, n_professional=40, n_ambulances=40
+)
+
 
 def small_config(scenario=Scenario.SINGLE_DETECTOR, **kw):
     defaults = dict(scenario=scenario, ticks=2_000, seed=1)
@@ -45,99 +39,73 @@ def small_config(scenario=Scenario.SINGLE_DETECTOR, **kw):
     return ScenarioConfig(**defaults)
 
 
-class TestToss:
-    def test_degenerate_probabilities(self):
-        rng = Random(0)
-        assert all(toss(1.0, rng) == 1 for _ in range(100))
-        assert all(toss(0.0, rng) == 0 for _ in range(100))
+def sense_once(scenario, draws):
+    """One ``sense_tick`` over a lone resident fed scripted draws.
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            toss(1.5, Random(0))
-        with pytest.raises(ValueError):
-            toss(-0.1, Random(0))
-
-    def test_mean_within_three_sigma(self):
-        p, n = 0.3, 20_000
-        rng = Random(123)
-        hits = sum(toss(p, rng) for _ in range(n))
-        sigma = math.sqrt(n * p * (1 - p))
-        assert abs(hits - n * p) < 3 * sigma
-
-    @given(p=st.floats(min_value=0, max_value=1), seed=st.integers(0, 10_000))
-    def test_result_is_binary(self, p, seed):
-        assert toss(p, Random(seed)) in (0, 1)
+    Returns the confusion cell the pass counted ("tp", "fn", "fp" or "tn")
+    and the scripted generator, with whatever draws the pass left unused.
+    """
+    sim = Simulation(
+        small_config(scenario, p_fall=0.5, sensor=SENSOR, world=WorldConfig(n_elderly=1))
+    )
+    sim.rng = ScriptedRng(draws)
+    sim.sense_tick(0)
+    counts = {cell: getattr(sim.counters, cell) for cell in ("tp", "fn", "fp", "tn")}
+    assert sorted(counts.values()) == [0, 0, 0, 1]
+    return max(counts, key=counts.get), sim.rng
 
 
 class TestDetectorComposition:
     def test_single_detector_branches(self):
+        s1 = Scenario.SINGLE_DETECTOR
         fall, no_fall, hit, miss = 0.0, 0.9, 0.9, 0.1
-        assert (
-            single_detector_outcome(0.5, SENSOR, ScriptedRng([fall, hit]))
-            is DetectorOutcome.TRUE_ALARM
-        )
-        assert (
-            single_detector_outcome(0.5, SENSOR, ScriptedRng([fall, miss]))
-            is DetectorOutcome.MISSED_FALL
-        )
-        assert (
-            single_detector_outcome(0.5, SENSOR, ScriptedRng([no_fall, 0.0001]))
-            is DetectorOutcome.PHANTOM_ALARM
-        )
-        assert (
-            single_detector_outcome(0.5, SENSOR, ScriptedRng([no_fall, 0.9]))
-            is DetectorOutcome.QUIET
-        )
+        assert sense_once(s1, [fall, hit])[0] == "tp"
+        assert sense_once(s1, [fall, miss])[0] == "fn"
+        assert sense_once(s1, [no_fall, 0.0001])[0] == "fp"
+        assert sense_once(s1, [no_fall, 0.9])[0] == "tn"
 
     def test_dual_detector_miss_requires_both(self):
+        s2 = Scenario.DUAL_DETECTOR
         fall = 0.0
         miss, hit = 0.1, 0.9
-        assert (
-            dual_detector_outcome(0.5, SENSOR, ScriptedRng([fall, miss, miss]))
-            is DetectorOutcome.MISSED_FALL
-        )
+        assert sense_once(s2, [fall, miss, miss])[0] == "fn"
         for first, second in ((miss, hit), (hit, miss), (hit, hit)):
-            assert (
-                dual_detector_outcome(0.5, SENSOR, ScriptedRng([fall, first, second]))
-                is DetectorOutcome.TRUE_ALARM
-            )
+            assert sense_once(s2, [fall, first, second])[0] == "tp"
 
     def test_dual_detector_phantom_is_or(self):
+        s2 = Scenario.DUAL_DETECTOR
         no_fall = 0.9
         quiet, fire = 0.9, 0.0001
-        assert (
-            dual_detector_outcome(0.5, SENSOR, ScriptedRng([no_fall, quiet, quiet]))
-            is DetectorOutcome.QUIET
-        )
+        assert sense_once(s2, [no_fall, quiet, quiet])[0] == "tn"
         for first, second in ((fire, quiet), (quiet, fire), (fire, fire)):
-            assert (
-                dual_detector_outcome(0.5, SENSOR, ScriptedRng([no_fall, first, second]))
-                is DetectorOutcome.PHANTOM_ALARM
-            )
+            assert sense_once(s2, [no_fall, first, second])[0] == "fp"
 
     def test_dual_detector_draws_both_even_after_decision(self):
         # Both detector draws are consumed even when the first already
         # decided the outcome, keeping the stream layout fixed.
-        rng = ScriptedRng([0.0, 0.9, 0.1, 0.42])
-        dual_detector_outcome(0.5, SENSOR, rng)
+        _, rng = sense_once(Scenario.DUAL_DETECTOR, [0.0, 0.9, 0.1, 0.42])
         assert rng.random() == 0.42
 
     def test_monte_carlo_alarm_probability(self):
-        """Per-fall alarm rate: 1 - pFN (single), 1 - pFN^2 (dual)."""
-        n = 40_000
-        rng = Random(7)
-        single_alarms = sum(
-            single_detector_outcome(1.0, SENSOR, rng) is DetectorOutcome.TRUE_ALARM
-            for _ in range(n)
-        )
-        p1 = 1 - SENSOR.p_false_negative
-        assert abs(single_alarms - n * p1) < 4 * math.sqrt(n * p1 * (1 - p1))
-        dual_alarms = sum(
-            dual_detector_outcome(1.0, SENSOR, rng) is DetectorOutcome.TRUE_ALARM
-            for _ in range(n)
-        )
-        p2 = 1 - SENSOR.p_false_negative**2
-        assert abs(dual_alarms - n * p2) < 4 * math.sqrt(n * p2 * (1 - p2))
+        """Per-fall alarm rate: 1 - pFN (single), 1 - pFN^2 (dual).
+
+        With p_fall = 1 every toss is a fall, so TP + FN is the number of
+        tosses the run made.
+        """
+        p_miss = SENSOR.p_false_negative
+        for scenario, p_alarm in (
+            (Scenario.SINGLE_DETECTOR, 1 - p_miss),
+            (Scenario.DUAL_DETECTOR, 1 - p_miss**2),
+        ):
+            config = small_config(
+                scenario, p_fall=1.0, sensor=SENSOR, world=QUICK_TURNAROUND,
+                ticks=600, dispatch_delay=0, seed=7,
+            )
+            report = run_simulation(config).to_dict()
+            n = report["tp"] + report["fn"]
+            assert n > 5_000
+            sigma = math.sqrt(n * p_alarm * (1 - p_alarm))
+            assert abs(report["tp"] - n * p_alarm) < 4 * sigma
 
 
 class TestScenarioConfig:
@@ -157,24 +125,6 @@ class TestScenarioConfig:
     def test_invalid_configs_rejected(self, kw):
         with pytest.raises(ConfigurationError):
             small_config(**kw)
-
-    def test_with_overrides(self):
-        base = small_config()
-        changed = with_overrides(base, n_informal=12, seed=9)
-        assert changed.n_informal == 12
-        assert changed.seed == 9
-        assert changed.ticks == base.ticks
-        assert base.n_informal == 0  # frozen original untouched
-
-    def test_tick_aliases_guard_scenario(self):
-        sim = Simulation(small_config())
-        with pytest.raises(ValueError):
-            s2_tick(sim, 0)
-        s1_tick(sim, 0)
-        dual = Simulation(small_config(scenario=Scenario.DUAL_DETECTOR))
-        with pytest.raises(ValueError):
-            s1_tick(dual, 0)
-        s2_tick(dual, 0)
 
 
 class TestRunStatistics:
@@ -251,7 +201,7 @@ class TestDeterminism:
         base = small_config(
             seed=1, world=WorldConfig(placement_seed=99), n_informal=3
         )
-        other_draws = with_overrides(base, seed=2)
+        other_draws = replace(base, seed=2)
         sim_a, sim_b = Simulation(base), Simulation(other_draws)
         houses_a = [sim_a.world.agents[e].position for e in sim_a.world.elderly_ids]
         houses_b = [sim_b.world.agents[e].position for e in sim_b.world.elderly_ids]

@@ -1,8 +1,12 @@
 """Sweep harness, CSV/JSON emission, and the command-line front end."""
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fallsim.cli import main
 from fallsim.metrics import CSV_COLUMNS
@@ -16,8 +20,25 @@ from fallsim.sweep import (
     run_sweep,
     write_outputs,
 )
+from fallsim.world import ConfigurationError
 
 FAST = ScenarioConfig(ticks=300)
+
+#: Flags a config file may set, plus an unknown key and a forbidden one. The
+#: output paths are left out: a bad path is an I/O error, which exits 1.
+CONFIG_KEYS = [
+    "scenario", "ics", "ticks", "seed", "replications", "p_fall", "p_fn", "p_fp",
+    "n_ea", "n_pc", "n_ma", "grid", "count_return_travel", "dispatch_delay", "jobs",
+    "tickz", "config",
+]
+
+
+def run_cli(argv):
+    """Exit status of ``main(argv)``, whether it returns or exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def tiny_spec(**kw):
@@ -59,9 +80,9 @@ class TestSweepSpec:
         assert DEFAULT_X_VALUES == (0, 5, 10, 15, 20, 25, 30, 35, 40)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             tiny_spec(replications=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             tiny_spec(x_values=())
 
     def test_cell_config_combines_axis_and_seed(self):
@@ -100,6 +121,13 @@ class TestRunSweep:
         assert [
             [r.to_dict() for r in level] for level in first.reports
         ] == [[r.to_dict() for r in level] for level in second.reports]
+
+    def test_process_pool_matches_serial_run(self):
+        serial = run_sweep(tiny_spec(jobs=1))
+        pooled = run_sweep(tiny_spec(jobs=2))
+        assert [[r.csv_row() for r in level] for level in pooled.reports] == [
+            [r.csv_row() for r in level] for level in serial.reports
+        ]
 
 
 class TestEmission:
@@ -212,3 +240,59 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--config", str(config)])
         assert excinfo.value.code == 2
+
+    def test_config_values_are_parsed_like_flags(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"ticks": "200", "p_fall": 0.01, "count_return_travel": False}),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        from_file = capsys.readouterr().out
+        argv = ["run", "--ticks", "200", "--p-fall", "0.01", "--count-return-travel", "false"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == from_file
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"seed": 1.5}, {"ticks": "ten"}, {"ticks": None}, {"ics": [1, 2]}, {"config": "x"}],
+    )
+    def test_bad_config_values_exit_two(self, data, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert run_cli(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    @given(
+        data=st.dictionaries(
+            st.sampled_from(CONFIG_KEYS),
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(min_value=-5, max_value=40),
+                st.floats(min_value=-1, max_value=2),
+                st.text(alphabet="0123456789.-xs", max_size=6),
+                st.lists(st.integers(min_value=0, max_value=3), max_size=2),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_config_file_values_never_raise_a_traceback(self, data, capsys):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(data), encoding="utf-8")
+            # The explicit --ticks wins over the file's and keeps each run short.
+            code = run_cli(["run", "--config", str(config), "--ticks", "20"])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sweep_zero_replications_exits_two(self, capsys):
+        assert main(["sweep", "--replications", "0", "--ticks", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: replications must be >= 1\n"

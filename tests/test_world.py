@@ -16,7 +16,6 @@ from fallsim.world import (
     World,
     WorldConfig,
     chebyshev,
-    place_agents,
     random_walk_step,
     step_toward,
     travel_time,
@@ -78,10 +77,11 @@ class TestDistance:
 class TestPlacement:
     def test_deterministic_in_seed(self):
         config = WorldConfig()
-        first = place_agents(config, Random(7), n_informal=12)
-        second = place_agents(config, Random(7), n_informal=12)
-        assert [(a.kind, a.position) for a in first] == [
-            (a.kind, a.position) for a in second
+        first = World.create(config, Random(7), n_informal=12)
+        second = World.create(config, Random(7), n_informal=12)
+        assert first.hospital == second.hospital
+        assert [(a.kind, a.position) for a in first.agents.values()] == [
+            (a.kind, a.position) for a in second.agents.values()
         ]
 
     def test_houses_and_hospital_distinct(self):
@@ -126,7 +126,7 @@ class TestPlacement:
 
     def test_overfull_grid_rejected(self):
         with pytest.raises(ConfigurationError):
-            place_agents(WorldConfig(half_width=1, half_height=1, n_elderly=9), Random(0))
+            World.create(WorldConfig(half_width=1, half_height=1, n_elderly=9), Random(0))
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
