@@ -32,7 +32,6 @@ from .world import (
     SensorModel,
     World,
     WorldConfig,
-    random_walk_step,
     step_toward,
     travel_time,
 )

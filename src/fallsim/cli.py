@@ -73,7 +73,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="informal carer count N, or a range A..B:STEP")
     parser.add_argument("--ticks", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--replications", type=int, default=None)
     parser.add_argument("--p-fall", type=_parse_probability, default=1 / 600)
     parser.add_argument("--p-fn", type=_parse_probability, default=1 / 5)
     parser.add_argument("--p-fp", type=_parse_probability, default=1 / 500)
@@ -83,7 +82,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=_parse_grid, default=(33, 33))
     parser.add_argument("--count-return-travel", type=_parse_bool, default=True)
     parser.add_argument("--dispatch-delay", type=int, default=5)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--trace", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--config", type=Path, default=None,
@@ -100,6 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(run_parser)
     sweep_parser = sub.add_parser("sweep", help="run a carer-count sweep with replications")
     _add_common_flags(sweep_parser)
+    sweep_parser.add_argument("--replications", type=int, default=10)
+    sweep_parser.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -183,10 +183,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(
         scenario=Scenario(args.scenario),
         x_values=tuple(x_values),
-        replications=args.replications if args.replications is not None else 10,
+        replications=args.replications,
         base_seed=args.seed,
         base_config=_scenario_config(args, n_informal=0, seed=args.seed),
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
     )
     result = run_sweep(spec)
     out_prefix = args.out if args.out is not None else Path(f"sweep_{args.scenario}")

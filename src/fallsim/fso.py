@@ -59,7 +59,7 @@ REQUIRED_ROLES: dict[ProtocolKind, tuple[Role, ...]] = {
 }
 
 #: Highest circle level at which each protocol's roles can ever be filled;
-#: unfilled instances park there and retry every tick (FIFO).
+#: unfilled instances park there and retry (FIFO) after an agent is freed.
 RESOLUTION_LEVEL = {
     ProtocolKind.CARE_DISPATCH: 3,
     ProtocolKind.VERIFY_VISIT: 2,
@@ -87,7 +87,7 @@ class EventKind(Enum):
     DISPATCH_CANCELED = "dispatch_canceled"
 
 
-@dataclass
+@dataclass(slots=True)
 class Circle:
     id: int
     level: int
@@ -95,7 +95,7 @@ class Circle:
     parent: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtocolInstance:
     instance_id: int
     kind: ProtocolKind
@@ -148,6 +148,8 @@ class FsoEngine:
         # case id -> {protocol kind: instance id} for the dispatch/verify pair
         self.case_instances: dict[int, dict[ProtocolKind, int]] = {}
         self.retry_queue: deque[int] = deque()
+        # Set when an agent becomes enrollable; parked instances wait for it.
+        self._freed = False
         self.returning: list[int] = []
         # Running dispatch/verify instances, the only ones that need ticking.
         self.active: set[int] = set()
@@ -382,6 +384,7 @@ class FsoEngine:
             agent.target = None
             agent.instance_id = None
             agent.serving_case = None
+            self._freed = True
         elif agent.kind is AgentKind.COORDINATOR:
             pass
         elif agent.position == agent.base:
@@ -389,6 +392,7 @@ class FsoEngine:
             agent.target = None
             agent.instance_id = None
             agent.serving_case = None
+            self._freed = True
         else:
             agent.status = AgentStatus.RETURNING_TO_BASE
             agent.target = agent.base
@@ -423,6 +427,7 @@ class FsoEngine:
             if agent.status is AgentStatus.IDLE:
                 agent.target = None
                 agent.serving_case = None
+                self._freed = True
             else:
                 still.append(agent_id)
         self.returning = still
@@ -505,6 +510,16 @@ class FsoEngine:
         self._close_case(case, CaseOutcome.SERVED, tick)
 
     def _retry_parked(self, tick: int) -> None:
+        """Retry parked instances in FIFO order once an agent has been freed.
+
+        A parked instance failed because some role had no free candidate,
+        and no candidate becomes free except where ``_freed`` is set. A
+        retry skipped in between would have failed, and a failed retry
+        emits nothing and keeps the queue order.
+        """
+        if not self._freed:
+            return
+        self._freed = False
         pending = len(self.retry_queue)
         for _ in range(pending):
             instance_id = self.retry_queue.popleft()

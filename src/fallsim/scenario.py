@@ -17,12 +17,11 @@ from .fso import CaseOutcome, FsoEngine
 from .metrics import ConfusionCounters, CostLedger, MetricsReport
 from .world import (
     AgentKind,
-    AgentStatus,
     ConfigurationError,
     SensorModel,
     World,
     WorldConfig,
-    random_walk_step,
+    walk_carers,
 )
 
 
@@ -61,7 +60,7 @@ class ScenarioConfig:
             raise ConfigurationError("dispatch_delay must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseRecord:
     """One alarm, true or phantom, from raise to terminal outcome."""
 
@@ -179,13 +178,8 @@ class Simulation:
         self._walk_idle_carers()
 
     def _walk_idle_carers(self) -> None:
-        rng = self.rng
-        hw = self.config.world.half_width
-        hh = self.config.world.half_height
-        walking = AgentStatus.RANDOM_WALKING
-        for carer in self._informal_agents:
-            if carer.status is walking:
-                random_walk_step(carer, rng, hw, hh)
+        world = self.config.world
+        walk_carers(self._informal_agents, self.rng, world.half_width, world.half_height)
 
     def run(self, audit_every: int = 0) -> MetricsReport:
         for tick in range(self.config.ticks):

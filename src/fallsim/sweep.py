@@ -62,6 +62,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
+        if self.jobs < 1:
+            raise ConfigurationError("jobs must be >= 1")
         if not self.x_values:
             raise ConfigurationError("x_values must be non-empty")
 

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from random import Random
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 
 class ConfigurationError(ValueError):
     """Raised when a world or scenario configuration cannot be realized."""
 
 
-@dataclass(frozen=True, slots=True)
-class Position:
+class Position(NamedTuple):
+    """A grid cell; it hashes and compares as the plain tuple ``(x, y)``."""
+
     x: int
     y: int
 
@@ -30,6 +32,10 @@ class AgentKind(Enum):
     PROFESSIONAL_CARER = "professional_carer"
     AMBULANCE = "ambulance"
     COORDINATOR = "coordinator"
+
+    # Members are singletons, so identity hashing is exact and runs in C;
+    # Enum's name-based hash costs a Python call on every dict lookup.
+    __hash__ = object.__hash__
 
 
 #: Kinds that are allowed to change position.
@@ -250,17 +256,40 @@ def step_toward(agent: AgentState, target: Position) -> AgentState:
 _DIRS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def random_walk_step(
-    agent: AgentState, rng: Random, half_width: int, half_height: int
-) -> AgentState:
-    """Move a walking carer to a uniformly chosen in-bounds 8-neighbor cell."""
-    x, y = agent.position.x, agent.position.y
-    if half_width == 0 and half_height == 0:
-        return agent
-    # Rejection sampling keeps boundary cells uniform over their valid neighbors.
-    while True:
-        dx, dy = _DIRS8[int(rng.random() * 8)]
-        nx, ny = x + dx, y + dy
-        if -half_width <= nx <= half_width and -half_height <= ny <= half_height:
-            agent.position = Position(nx, ny)
-            return agent
+@cache
+def _neighbours(
+    half_width: int, half_height: int
+) -> dict[Position, tuple[Optional[Position], ...]]:
+    """Each cell's 8 neighbours in ``_DIRS8`` order, None where off the grid.
+
+    The neighbours are the same objects as the cells, so a walk allocates
+    nothing. The table is shared by every caller and must not be mutated.
+    """
+    cells = {
+        (x, y): Position(x, y)
+        for x in range(-half_width, half_width + 1)
+        for y in range(-half_height, half_height + 1)
+    }
+    return {
+        cell: tuple(cells.get((cell.x + dx, cell.y + dy)) for dx, dy in _DIRS8)
+        for cell in cells.values()
+    }
+
+
+def walk_carers(
+    carers: Sequence[AgentState], rng: Random, half_width: int, half_height: int
+) -> None:
+    """Move every walking carer to a uniformly chosen in-bounds 8-neighbour cell."""
+    if not carers or (half_width == 0 and half_height == 0):
+        return
+    neighbours = _neighbours(half_width, half_height)
+    rand = rng.random
+    walking = AgentStatus.RANDOM_WALKING
+    for carer in carers:
+        if carer.status is walking:
+            options = neighbours[carer.position]
+            # Rejection sampling keeps boundary cells uniform over their valid neighbours.
+            step = options[int(rand() * 8)]
+            while step is None:
+                step = options[int(rand() * 8)]
+            carer.position = step

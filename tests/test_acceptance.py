@@ -15,7 +15,6 @@ Expensive run collections are shared through module-scoped fixtures:
 """
 import math
 import os
-import sys
 import time
 
 import pytest
@@ -39,12 +38,19 @@ SWEEP_X_VALUES = (0, 10, 20, 40)
 SWEEP_REPETITIONS = 10
 
 
-def announce(number: int, name: str, ok: bool, detail: str) -> None:
-    verdict = "PASS" if ok else "FAIL"
-    line = f"[criterion {number}] {name}: {verdict} ({detail})"
-    # Bypass pytest's capture so the verdict always reaches the console.
-    sys.__stdout__.write(line + "\n")
-    sys.__stdout__.flush()
+@pytest.fixture
+def announce(record_property):
+    """Record a ``[criterion N] name: PASS/FAIL (detail)`` line for the test.
+
+    ``tests/conftest.py`` prints the recorded lines in the terminal summary,
+    which output capture does not swallow.
+    """
+
+    def _announce(number: int, name: str, ok: bool, detail: str) -> None:
+        verdict = "PASS" if ok else "FAIL"
+        record_property("criterion", (number, f"[criterion {number}] {name}: {verdict} ({detail})"))
+
+    return _announce
 
 
 def _baseline(scenario: Scenario):
@@ -100,7 +106,7 @@ def _agg_mean(sweep, x, field):
     return row.stats[field]["mean"]
 
 
-def test_criterion_1_single_detector_ratios(s1_baseline):
+def test_criterion_1_single_detector_ratios(s1_baseline, announce):
     reports, elapsed = s1_baseline
     mean_fp_rate = _mean(reports, "fp_rate")
     mean_sens = _mean(reports, "sensitivity")
@@ -124,7 +130,7 @@ def test_criterion_1_single_detector_ratios(s1_baseline):
     assert elapsed < 30.0
 
 
-def test_criterion_2_dual_detector_ratios(s2_baseline):
+def test_criterion_2_dual_detector_ratios(s2_baseline, announce):
     reports, elapsed = s2_baseline
     mean_fp_rate = _mean(reports, "fp_rate")
     mean_sens = _mean(reports, "sensitivity")
@@ -160,7 +166,7 @@ def _trend_holds(sweep, wt_factor):
     return cost_drop and wait_drop and diminishing
 
 
-def test_criterion_3_sweep_trends(s1_sweeps, s2_sweeps):
+def test_criterion_3_sweep_trends(s1_sweeps, s2_sweeps, announce):
     s1_hits = sum(_trend_holds(sweep, wt_factor=4) for sweep in s1_sweeps)
     s2_hits = sum(_trend_holds(sweep, wt_factor=6) for sweep in s2_sweeps)
     ok = s1_hits >= 9 and s2_hits >= 9
@@ -175,7 +181,7 @@ def test_criterion_3_sweep_trends(s1_sweeps, s2_sweeps):
     assert s2_hits >= 9
 
 
-def test_criterion_4_verification_shift(s1_baseline, s1_sweeps):
+def test_criterion_4_verification_shift(s1_baseline, s1_sweeps, announce):
     reports, _ = s1_baseline
     no_carer_ok = all(r["v_informal"] == 0 for r in reports) and all(
         r["v_ambulance"] > 0 for r in reports
@@ -198,7 +204,7 @@ def test_criterion_4_verification_shift(s1_baseline, s1_sweeps):
     assert all(m <= 2.0 for m in per_x_means.values())
 
 
-def test_criterion_5_sensor_composition_oracles():
+def test_criterion_5_sensor_composition_oracles(announce):
     """Monte Carlo oracles of detector composition, read off full runs.
 
     With p_fall = 1 every toss is a fall, so TP / (TP + FN) is the per-fall
@@ -241,7 +247,7 @@ def test_criterion_5_sensor_composition_oracles():
         assert good, f"{label}: {hits} outside {expect:.0f}±{bound:.0f}"
 
 
-def test_criterion_6_invariants(s1_baseline, s2_baseline):
+def test_criterion_6_invariants(s1_baseline, s2_baseline, announce):
     problems = []
     for reports, _ in (s1_baseline, s2_baseline):
         for r in reports:
@@ -263,7 +269,7 @@ def test_criterion_6_invariants(s1_baseline, s2_baseline):
     assert not problems
 
 
-def test_criterion_7_metric_formula_goldens():
+def test_criterion_7_metric_formula_goldens(announce):
     checks = [
         (fmt_percent(sensitivity(195, 56)), "77.68"),
         (fmt_percent(sensitivity(221, 74)), "74.91"),
@@ -287,7 +293,7 @@ def test_criterion_7_metric_formula_goldens():
         assert got == want
 
 
-def test_criterion_8_performance():
+def test_criterion_8_performance(announce):
     config = ScenarioConfig(n_informal=40, seed=0)
     start = time.perf_counter()
     run_simulation(config)

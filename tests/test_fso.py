@@ -188,6 +188,53 @@ class TestEnrollment:
         assert ledger.interventions == 2
 
 
+class TestRetryAfterFree:
+    """A parked instance enrolls on the tick an agent is freed, at each free point."""
+
+    def test_carer_freed_by_cancel_enrolls_parked_verify(self):
+        # The convoy reaches house 1 at tick 8, before the far carer, and
+        # cancels its visit; case B's parked visit takes the carer that tick.
+        world, _, engine, records = build(
+            n_elderly=2, ic_positions=(Position(-8, -8),), dispatch_delay=0
+        )
+        case_a = raise_case(engine, world, 0, elderly_index=1)
+        raise_case(engine, world, 1, elderly_index=0)
+        verify_b = engine.instances[engine.case_instances[1][ProtocolKind.VERIFY_VISIT]]
+        assert verify_b.state is InstanceState.READIED
+        tick, _ = run_until(engine, records, lambda: verify_b.state is InstanceState.RUNNING)
+        assert tick == case_a.terminal_tick == 8
+        assert verify_b.enroll_tick == tick
+        assert verify_b.enrolled == world.informal_ids
+
+    def test_crew_cancelled_at_base_enrolls_parked_dispatch(self):
+        world, _, engine, _ = build(n_elderly=2, dispatch_delay=50)
+        raise_case(engine, world, 0, elderly_index=0)
+        raise_case(engine, world, 1, elderly_index=1)
+        first = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
+        second = engine.instances[engine.case_instances[1][ProtocolKind.CARE_DISPATCH]]
+        for tick in range(1, 5):
+            engine.tick_protocols(tick)
+        assert second.state is InstanceState.READIED
+        # Still mobilizing, so the crew is at base and idle at once.
+        engine.cancel_protocol(first, 5)
+        for aid in world.professional_ids + world.ambulance_ids:
+            assert world.agents[aid].status is AgentStatus.IDLE
+        engine.tick_protocols(5)
+        assert second.state is InstanceState.RUNNING
+        assert second.enroll_tick == 5
+        engine.audit()
+
+    def test_crew_back_at_base_enrolls_parked_dispatch(self):
+        world, _, engine, records = build(n_elderly=2, dispatch_delay=0)
+        raise_case(engine, world, 0, elderly_index=0)
+        raise_case(engine, world, 1, elderly_index=1)
+        second = engine.instances[engine.case_instances[1][ProtocolKind.CARE_DISPATCH]]
+        tick, _ = run_until(engine, records, lambda: second.state is InstanceState.RUNNING)
+        # Eight ticks out to house 0 and eight back to the hospital.
+        assert tick == second.enroll_tick == 16
+        assert second.enrolled == world.professional_ids + world.ambulance_ids
+
+
 class TestFalseAlarmChain:
     def test_carer_confirmation_cancels_dispatch_same_tick(self):
         # Carer 2 cells out; convoy held by a long mobilization delay.

@@ -84,6 +84,8 @@ class TestSweepSpec:
             tiny_spec(replications=0)
         with pytest.raises(ConfigurationError):
             tiny_spec(x_values=())
+        with pytest.raises(ConfigurationError):
+            tiny_spec(jobs=0)
 
     def test_cell_config_combines_axis_and_seed(self):
         spec = tiny_spec()
@@ -206,12 +208,17 @@ class TestCli:
             ["run", "--ics", "5..1"],
             ["run", "--grid", "32x32"],
             ["bogus"],
+            # --replications and --jobs belong to sweep only.
+            ["run", "--jobs", "2"],
+            ["run", "--replications", "3"],
+            ["sweep", "--jobs", "0", "--ticks", "10"],
         ],
     )
     def test_usage_errors_exit_two(self, argv, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err.splitlines()[-1]
+        assert "Traceback" not in err
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -16,9 +16,9 @@ from fallsim.world import (
     World,
     WorldConfig,
     chebyshev,
-    random_walk_step,
     step_toward,
     travel_time,
+    walk_carers,
 )
 
 positions = st.builds(
@@ -199,7 +199,7 @@ class TestRandomWalk:
         seen = set()
         for _ in range(200):
             agent.position = Position(16, 16)
-            random_walk_step(agent, rng, 16, 16)
+            walk_carers((agent,), rng, 16, 16)
             assert -16 <= agent.position.x <= 16
             assert -16 <= agent.position.y <= 16
             seen.add(agent.position)
@@ -216,7 +216,7 @@ class TestRandomWalk:
         n = 16_000
         for _ in range(n):
             agent.position = Position(0, 0)
-            random_walk_step(agent, rng, 16, 16)
+            walk_carers((agent,), rng, 16, 16)
             counts[agent.position] = counts.get(agent.position, 0) + 1
         assert len(counts) == 8
         _, p_value = chisquare(list(counts.values()))
@@ -224,21 +224,30 @@ class TestRandomWalk:
 
     def test_degenerate_single_cell_grid(self):
         agent = _carer(Position(0, 0))
-        random_walk_step(agent, Random(0), 0, 0)
+        rng = Random(0)
+        walk_carers((agent,), rng, 0, 0)
         assert agent.position == Position(0, 0)
+        # No draw is taken.
+        assert rng.random() == Random(0).random()
 
     @given(
-        x=st.integers(min_value=-6, max_value=6),
-        y=st.integers(min_value=-6, max_value=6),
+        extents=st.tuples(
+            st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
+        ).filter(lambda e: e != (0, 0)),
+        data=st.data(),
         seed=st.integers(min_value=0, max_value=999),
     )
-    @settings(max_examples=60)
-    def test_walk_is_one_king_move_in_bounds(self, x, y, seed):
+    @settings(max_examples=100)
+    def test_walk_is_one_king_move_in_bounds(self, extents, data, seed):
+        """Thin 1xN and Nx1 grids leave only 2-3 legal neighbours per cell."""
+        hw, hh = extents
+        x = data.draw(st.integers(min_value=-hw, max_value=hw))
+        y = data.draw(st.integers(min_value=-hh, max_value=hh))
         agent = _carer(Position(x, y))
-        random_walk_step(agent, Random(seed), 6, 6)
+        walk_carers((agent,), Random(seed), hw, hh)
         assert chebyshev(agent.position, Position(x, y)) == 1
-        assert -6 <= agent.position.x <= 6
-        assert -6 <= agent.position.y <= 6
+        assert -hw <= agent.position.x <= hw
+        assert -hh <= agent.position.y <= hh
 
 
 class TestConfigValidation:
