@@ -35,23 +35,31 @@ def _parse_probability(text: str) -> float:
     return value
 
 
-def _parse_ics(text: str) -> tuple[int, ...]:
-    """Either a single count ("12") or a range ("0..40:5")."""
+def _parse_count(text: str) -> int:
+    """A single informal-carer count ("12")."""
     try:
-        if ".." in text:
-            bounds, _, step_text = text.partition(":")
-            lo_text, _, hi_text = bounds.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-            step = int(step_text) if step_text else 1
-            if lo < 0 or hi < lo or step < 1:
-                raise ValueError
-            return tuple(range(lo, hi + 1, step))
         value = int(text)
         if value < 0:
             raise ValueError
-        return (value,)
+        return value
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad carer count or range: {text!r}")
+        raise argparse.ArgumentTypeError(f"bad carer count: {text!r}")
+
+
+def _parse_ics(text: str) -> tuple[int, ...]:
+    """Either a single count ("12") or a range ("0..40:5")."""
+    if ".." not in text:
+        return (_parse_count(text),)
+    try:
+        bounds, _, step_text = text.partition(":")
+        lo_text, _, hi_text = bounds.partition("..")
+        lo, hi = int(lo_text), int(hi_text)
+        step = int(step_text) if step_text else 1
+        if lo < 0 or hi < lo or step < 1:
+            raise ValueError
+        return tuple(range(lo, hi + 1, step))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad carer range: {text!r}")
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -69,8 +77,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", choices=["s1", "s2"], default="s1")
-    parser.add_argument("--ics", type=_parse_ics, default=None,
-                        help="informal carer count N, or a range A..B:STEP")
     parser.add_argument("--ticks", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--p-fall", type=_parse_probability, default=1 / 600)
@@ -82,10 +88,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid", type=_parse_grid, default=(33, 33))
     parser.add_argument("--count-return-travel", type=_parse_bool, default=True)
     parser.add_argument("--dispatch-delay", type=int, default=5)
-    parser.add_argument("--trace", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file with defaults for the flags above")
+                        help="JSON file with defaults for the other flags")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,8 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="run a single experiment cell")
     _add_common_flags(run_parser)
+    run_parser.add_argument("--ics", type=_parse_count, default=0,
+                            help="informal carer count N")
+    run_parser.add_argument("--trace", type=Path, default=None,
+                            help="write every engine event as a JSON line")
     sweep_parser = sub.add_parser("sweep", help="run a carer-count sweep with replications")
     _add_common_flags(sweep_parser)
+    sweep_parser.add_argument("--ics", type=_parse_ics, default=DEFAULT_X_VALUES,
+                              help="informal carer count N, or a range A..B:STEP")
     sweep_parser.add_argument("--replications", type=int, default=10)
     sweep_parser.add_argument("--jobs", type=int, default=1)
     return parser
@@ -163,8 +174,7 @@ def _trace_sink(path: Optional[Path]):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    ics = args.ics[0] if args.ics else 0
-    config = _scenario_config(args, n_informal=ics, seed=args.seed)
+    config = _scenario_config(args, n_informal=args.ics, seed=args.seed)
     sink, fh = _trace_sink(args.trace)
     try:
         report = run_simulation(config, trace_sink=sink)
@@ -179,10 +189,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    x_values = args.ics if args.ics else DEFAULT_X_VALUES
     spec = SweepSpec(
         scenario=Scenario(args.scenario),
-        x_values=tuple(x_values),
+        x_values=args.ics,
         replications=args.replications,
         base_seed=args.seed,
         base_config=_scenario_config(args, n_informal=0, seed=args.seed),

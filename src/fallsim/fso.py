@@ -22,6 +22,7 @@ from .world import (
     AgentKind,
     AgentState,
     AgentStatus,
+    KeyEnum,
     Position,
     World,
     step_toward,
@@ -29,7 +30,7 @@ from .world import (
 )
 
 
-class Role(Enum):
+class Role(KeyEnum):
     NEED_PROFESSIONAL = "need_professional"
     NEED_AMBULANCE = "need_ambulance"
     NEED_INFORMAL = "need_informal"
@@ -44,7 +45,7 @@ ROLE_KIND = {
 }
 
 
-class ProtocolKind(Enum):
+class ProtocolKind(KeyEnum):
     CARE_DISPATCH = "care_dispatch"  # professional + ambulance convoy
     VERIFY_VISIT = "verify_visit"  # informal carer checks on the resident
     FALSE_ALARM_RELAY = "false_alarm_relay"  # forward a confirmed false alarm up
@@ -68,7 +69,7 @@ RESOLUTION_LEVEL = {
 }
 
 
-class InstanceState(Enum):
+class InstanceState(KeyEnum):
     READIED = "readied"
     RUNNING = "running"
     COMPLETED = "completed"
@@ -100,7 +101,6 @@ class ProtocolInstance:
     instance_id: int
     kind: ProtocolKind
     case_id: int
-    origin_circle: int
     state: InstanceState = InstanceState.READIED
     current_circle: int = -1
     enrolled: list[int] = field(default_factory=list)
@@ -121,7 +121,8 @@ class FsoEngine:
 
     `cases` entries are supplied by the scenario layer via :meth:`raise_alarm`;
     they must expose case_id, ea_id, true_fall, raised_tick, and the mutable
-    terminal/waiting/cost fields of the scenario's case record type.
+    outcome, terminal_tick and waiting_time fields of the scenario's case
+    record type.
     """
 
     def __init__(
@@ -150,7 +151,8 @@ class FsoEngine:
         self.retry_queue: deque[int] = deque()
         # Set when an agent becomes enrollable; parked instances wait for it.
         self._freed = False
-        self.returning: list[int] = []
+        # Hospital agents heading back to base after their instance ended.
+        self.returning: list[AgentState] = []
         # Running dispatch/verify instances, the only ones that need ticking.
         self.active: set[int] = set()
         self._next_instance = 0
@@ -160,13 +162,13 @@ class FsoEngine:
         # coordinator in the top circle, the informal carers in the middle
         # one. Every other pair has none, so its role escalates.
         top = self.circles[self.level3_id]
-        self._role_candidates: dict[tuple[int, str], list[int]] = {
-            (top.id, Role.NEED_PROFESSIONAL.value): list(world.professional_ids),
-            (top.id, Role.NEED_AMBULANCE.value): list(world.ambulance_ids),
-            (top.id, Role.NEED_TOP_COORDINATOR.value): [top.coordinator_id],
+        self._role_candidates: dict[tuple[int, Role], list[int]] = {
+            (top.id, Role.NEED_PROFESSIONAL): list(world.professional_ids),
+            (top.id, Role.NEED_AMBULANCE): list(world.ambulance_ids),
+            (top.id, Role.NEED_TOP_COORDINATOR): [top.coordinator_id],
         }
         if self.level2_id is not None:
-            self._role_candidates[(self.level2_id, Role.NEED_INFORMAL.value)] = list(
+            self._role_candidates[(self.level2_id, Role.NEED_INFORMAL)] = list(
                 world.informal_ids
             )
 
@@ -238,7 +240,6 @@ class FsoEngine:
             instance_id=self._next_instance,
             kind=kind,
             case_id=case_id,
-            origin_circle=circle.id,
             current_circle=circle.id,
             target=self.world.agents[self.cases[case_id].ea_id].position,
         )
@@ -294,7 +295,7 @@ class FsoEngine:
             free = AgentStatus.RANDOM_WALKING if role is Role.NEED_INFORMAL else AgentStatus.IDLE
             best: Optional[AgentState] = None
             best_key: tuple[int, int] = (0, 0)
-            for member_id in self._role_candidates.get((circle.id, role.value), ()):
+            for member_id in self._role_candidates.get((circle.id, role), ()):
                 agent = agents[member_id]
                 if agent.status is not free or member_id in chosen:
                     continue
@@ -321,9 +322,7 @@ class FsoEngine:
             if agent.kind is AgentKind.COORDINATOR:
                 continue
             agent.status = AgentStatus.ENROLLED_TRAVELING
-            agent.target = target
             agent.instance_id = instance.instance_id
-            agent.serving_case = instance.case_id
         return []
 
     def _on_running(self, instance: ProtocolInstance, tick: int) -> None:
@@ -370,7 +369,8 @@ class FsoEngine:
         """
         if instance.state in TERMINAL_STATES:
             return
-        if instance.state is InstanceState.READIED and instance.instance_id in self.retry_queue:
+        if instance.state is InstanceState.READIED:
+            # Outside _launch a readied instance is always parked.
             self.retry_queue.remove(instance.instance_id)
         for agent_id in instance.enrolled:
             self._release(self.world.agents[agent_id])
@@ -379,31 +379,27 @@ class FsoEngine:
         self.active.discard(instance.instance_id)
 
     def _release(self, agent: AgentState) -> None:
+        """Unbind an enrolled carer or hospital agent; no coordinator is ever
+        released, because the relay that enrolls one empties its roster at once."""
+        agent.instance_id = None
         if agent.kind is AgentKind.INFORMAL_CARER:
-            agent.status = AgentStatus.RANDOM_WALKING
-            agent.target = None
-            agent.instance_id = None
-            agent.serving_case = None
-            self._freed = True
-        elif agent.kind is AgentKind.COORDINATOR:
-            pass
+            self._free(agent, AgentStatus.RANDOM_WALKING)
         elif agent.position == agent.base:
-            agent.status = AgentStatus.IDLE
-            agent.target = None
-            agent.instance_id = None
-            agent.serving_case = None
-            self._freed = True
+            self._free(agent, AgentStatus.IDLE)
         else:
             agent.status = AgentStatus.RETURNING_TO_BASE
-            agent.target = agent.base
-            agent.instance_id = None
-            self.returning.append(agent.id)
+            self.returning.append(agent)
+
+    def _free(self, agent: AgentState, status: AgentStatus) -> None:
+        """Make an agent enrollable again, which lets parked instances retry."""
+        agent.status = status
+        self._freed = True
 
     # -- per-tick driving ----------------------------------------------------
 
     def tick_protocols(self, tick: int) -> None:
         """Advance travel, resolve arrivals, and retry parked enrollments."""
-        self._advance_returning(tick)
+        self._advance_returning()
         # Verification visits resolve before the convoy on ties, so a carer
         # reaching the house the same tick as the ambulance does the check.
         active = [self.instances[i] for i in sorted(self.active)]
@@ -415,58 +411,47 @@ class FsoEngine:
                 self._advance_instance(instance, tick)
         self._retry_parked(tick)
 
-    def _advance_returning(self, tick: int) -> None:
-        still: list[int] = []
-        for agent_id in self.returning:
-            agent = self.world.agents[agent_id]
-            if agent.status is not AgentStatus.RETURNING_TO_BASE:
-                continue
+    def _advance_returning(self) -> None:
+        still: list[AgentState] = []
+        for agent in self.returning:
             if self.count_return_travel:
-                self._accrue(agent, 1)
+                self.ledger.add_cost(agent.kind)
             step_toward(agent, agent.base)
-            if agent.status is AgentStatus.IDLE:
-                agent.target = None
-                agent.serving_case = None
-                self._freed = True
+            if agent.position == agent.base:
+                self._free(agent, AgentStatus.IDLE)
             else:
-                still.append(agent_id)
+                still.append(agent)
         self.returning = still
 
-    def _accrue(self, agent: AgentState, ticks: int) -> None:
-        self.ledger.add_cost(agent.kind, ticks)
-        case = self.cases.get(agent.serving_case)
-        if case is not None:
-            case.cost_by_kind[agent.kind] = case.cost_by_kind.get(agent.kind, 0) + ticks
-
     def _advance_instance(self, instance: ProtocolInstance, tick: int) -> None:
+        """Charge and move the enrolled agents; on arrival run the handler.
+
+        Agents already at the target arrive without cost, and an instance
+        arrives on the step that brings its last agent there.
+        """
         if instance.state is not InstanceState.RUNNING or tick <= instance.enroll_tick:
             return
         agents = [self.world.agents[a] for a in instance.enrolled]
-        arrived = all(a.position == instance.target for a in agents)
-        if not arrived:
-            if instance.kind is ProtocolKind.CARE_DISPATCH:
-                # Mobilization ticks before departure still occupy the crew.
-                for agent in agents:
-                    self._accrue(agent, 1)
-                if tick < instance.first_move_tick:
-                    return
-            else:
-                for agent in agents:
-                    self._accrue(agent, 1)
+        target = instance.target
+        if any(a.position != target for a in agents):
+            # Mobilization ticks before departure still occupy the crew.
             for agent in agents:
-                step_toward(agent, agent.target)
-            arrived = all(a.status is AgentStatus.AT_SCENE for a in agents)
-        if arrived:
-            if instance.kind is ProtocolKind.VERIFY_VISIT:
-                self._on_verifier_arrival(instance, tick)
-            else:
-                self._on_convoy_arrival(instance, tick)
+                self.ledger.add_cost(agent.kind)
+            if tick < instance.first_move_tick:
+                return
+            for agent in agents:
+                step_toward(agent, target)
+            if any(a.position != target for a in agents):
+                return
+        if instance.kind is ProtocolKind.VERIFY_VISIT:
+            self._on_verifier_arrival(instance, tick)
+        else:
+            self._on_convoy_arrival(instance, tick)
 
     def _on_verifier_arrival(self, instance: ProtocolInstance, tick: int) -> None:
         case = self.cases[instance.case_id]
         carer = self.world.agents[instance.enrolled[0]]
         self.ledger.v_informal += 1
-        case.verified_by = AgentKind.INFORMAL_CARER
         self._record_waiting(case, tick)
         instance.state = InstanceState.COMPLETED
         instance.enrolled = []
@@ -488,7 +473,6 @@ class FsoEngine:
             self.ledger.interventions += 1
         else:
             self.ledger.v_ambulance += 1
-            case.verified_by = AgentKind.AMBULANCE
         self._record_waiting(case, tick)
         self._emit(
             EventKind.CARE_ARRIVED,
@@ -524,8 +508,6 @@ class FsoEngine:
         for _ in range(pending):
             instance_id = self.retry_queue.popleft()
             instance = self.instances[instance_id]
-            if instance.state is not InstanceState.READIED:
-                continue
             missing = self.try_enroll(instance, self.circles[instance.current_circle], tick)
             if missing:
                 self.retry_queue.append(instance_id)
@@ -559,6 +541,10 @@ class FsoEngine:
     def audit(self) -> None:
         """Assert cross-cutting safety invariants; used by tests."""
         bound: dict[int, int] = {}
+        for instance_id in self.retry_queue:
+            assert self.instances[instance_id].state is InstanceState.READIED, (
+                f"queued instance {instance_id} is not readied"
+            )
         for instance in self.instances.values():
             if instance.state in TERMINAL_STATES:
                 assert not instance.enrolled, (
@@ -580,7 +566,7 @@ class FsoEngine:
                     assert agent_id not in bound, f"agent {agent_id} enrolled twice"
                     bound[agent_id] = instance.instance_id
         for agent in self.world.agents.values():
-            if agent.status in (AgentStatus.ENROLLED_TRAVELING, AgentStatus.AT_SCENE):
+            if agent.status is AgentStatus.ENROLLED_TRAVELING:
                 assert agent.instance_id is not None
                 inst = self.instances[agent.instance_id]
                 assert inst.state not in TERMINAL_STATES

@@ -16,7 +16,6 @@ from typing import Optional, Callable
 from .fso import CaseOutcome, FsoEngine
 from .metrics import ConfusionCounters, CostLedger, MetricsReport
 from .world import (
-    AgentKind,
     ConfigurationError,
     SensorModel,
     World,
@@ -71,8 +70,6 @@ class CaseRecord:
     terminal_tick: Optional[int] = None
     outcome: Optional[CaseOutcome] = None
     waiting_time: Optional[int] = None
-    verified_by: Optional[AgentKind] = None
-    cost_by_kind: dict[AgentKind, int] = field(default_factory=dict)
 
 
 class Simulation:

@@ -25,17 +25,23 @@ class Position(NamedTuple):
     y: int
 
 
-class AgentKind(Enum):
+class KeyEnum(Enum):
+    """Base of the enums the engine uses as dict keys and set members.
+
+    Members are singletons, so identity hashing is exact and runs in C;
+    Enum's name-based hash costs a Python call on every lookup.
+    """
+
+    __hash__ = object.__hash__
+
+
+class AgentKind(KeyEnum):
     ELDERLY = "elderly"
     DEVICE = "device"
     INFORMAL_CARER = "informal_carer"
     PROFESSIONAL_CARER = "professional_carer"
     AMBULANCE = "ambulance"
     COORDINATOR = "coordinator"
-
-    # Members are singletons, so identity hashing is exact and runs in C;
-    # Enum's name-based hash costs a Python call on every dict lookup.
-    __hash__ = object.__hash__
 
 
 #: Kinds that are allowed to change position.
@@ -48,7 +54,6 @@ class AgentStatus(Enum):
     IDLE = "idle"
     RANDOM_WALKING = "random_walking"
     ENROLLED_TRAVELING = "enrolled_traveling"
-    AT_SCENE = "at_scene"
     RETURNING_TO_BASE = "returning_to_base"
 
 
@@ -73,16 +78,12 @@ class AgentState:
     position: Position
     base: Optional[Position]
     status: AgentStatus = AgentStatus.IDLE
-    sensor: Optional[SensorModel] = None
     # Elderly only: id of the unresolved alarm case, if any.
     pending_case: Optional[int] = None
     # Device only: id of the elderly resident it watches.
     watches: Optional[int] = None
-    # Mobile agents: movement target and the protocol instance they serve.
-    target: Optional[Position] = None
+    # Enrolled agents: the protocol instance they serve.
     instance_id: Optional[int] = None
-    # Case whose costs a returning agent is still attributed to.
-    serving_case: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -234,23 +235,17 @@ def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def step_toward(agent: AgentState, target: Position) -> AgentState:
+def step_toward(agent: AgentState, target: Position) -> None:
     """Advance a mobile agent one king-move toward target (in place).
 
-    On reaching the target the status transitions: ENROLLED_TRAVELING becomes
-    AT_SCENE, RETURNING_TO_BASE becomes IDLE.
+    Only the position changes; the caller decides what reaching the target
+    means.
     """
     if agent.kind not in MOBILE_KINDS:
         raise ValueError(f"agent {agent.id} of kind {agent.kind.value} cannot move")
     p = agent.position
     if p != target:
         agent.position = Position(p.x + _sign(target.x - p.x), p.y + _sign(target.y - p.y))
-    if agent.position == target:
-        if agent.status is AgentStatus.ENROLLED_TRAVELING:
-            agent.status = AgentStatus.AT_SCENE
-        elif agent.status is AgentStatus.RETURNING_TO_BASE:
-            agent.status = AgentStatus.IDLE
-    return agent
 
 
 _DIRS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))

@@ -212,6 +212,9 @@ class TestCli:
             ["run", "--jobs", "2"],
             ["run", "--replications", "3"],
             ["sweep", "--jobs", "0", "--ticks", "10"],
+            # A run takes one carer count; only a run writes a trace.
+            ["run", "--ics", "0..40:5"],
+            ["sweep", "--trace", "t.jsonl", "--ticks", "10"],
         ],
     )
     def test_usage_errors_exit_two(self, argv, capsys):

@@ -145,7 +145,6 @@ class TestStepToward:
             (Position(0, 0), Position(-5, 9)),
         ]:
             agent = _carer(start)
-            agent.status = AgentStatus.ENROLLED_TRAVELING
             steps = 0
             while agent.position != goal:
                 before = chebyshev(agent.position, goal)
@@ -153,28 +152,6 @@ class TestStepToward:
                 assert chebyshev(agent.position, goal) == before - 1
                 steps += 1
             assert steps == travel_time(start, goal)
-            assert agent.status is AgentStatus.AT_SCENE
-
-    def test_zero_distance_arrival_still_transitions(self):
-        agent = _carer(Position(3, -2))
-        agent.status = AgentStatus.ENROLLED_TRAVELING
-        step_toward(agent, Position(3, -2))
-        assert agent.position == Position(3, -2)
-        assert agent.status is AgentStatus.AT_SCENE
-
-    def test_returning_agent_goes_idle_at_base(self):
-        agent = AgentState(
-            id=0,
-            kind=AgentKind.AMBULANCE,
-            position=Position(2, 2),
-            base=Position(0, 0),
-            status=AgentStatus.RETURNING_TO_BASE,
-        )
-        step_toward(agent, agent.base)
-        assert agent.status is AgentStatus.RETURNING_TO_BASE
-        step_toward(agent, agent.base)
-        assert agent.position == agent.base
-        assert agent.status is AgentStatus.IDLE
 
     def test_immobile_kinds_refuse_to_move(self):
         resident = AgentState(
