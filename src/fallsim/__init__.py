@@ -1,7 +1,7 @@
 """Seedable multi-agent simulator of a tiered telecare community that
 detects, verifies, and responds to falls of elderly residents."""
 
-from .fso import CaseOutcome, Circle, FsoEngine, InstanceState, ProtocolInstance, ProtocolKind, Role
+from .fso import CaseOutcome, FsoEngine, InstanceState, ProtocolInstance, ProtocolKind, Role
 from .metrics import (
     ConfusionCounters,
     CostLedger,

@@ -1,14 +1,16 @@
-"""Tiered coordination engine: circles, protocol readying, role enrollment,
+"""Tiered coordination engine: protocol readying, role enrollment,
 exception escalation, and cancellation.
 
-The community is organized as three nested circles. Each house forms a
-level-1 circle (resident, detectors, coordinator). Level 2 groups the houses
-with the informal carers; level 3 adds the hospital staff and ambulances.
-An alarm readies a care-dispatch protocol (professional + ambulance) and,
-when informal carers exist, a verification visit. Roles that cannot be
-filled in a circle escalate to the parent circle within the same tick.
-A confirmed false alarm is relayed to the top circle, which cancels the
-care dispatch.
+The community is organized as three nested circles: each house (resident,
+detectors), the neighbourhood (the houses plus the informal carers, when
+there are any) and the hospital (staff and ambulances). A circle appears
+only as its coordinator's id, which names it in the trace. An alarm readies
+a care-dispatch protocol (professional + ambulance) and, when informal
+carers exist, a verification visit. Each role has candidates in one circle
+only, so every protocol climbs a fixed ladder of coordinators within the
+same tick: each rung below the last reports all its roles missing, and the
+last rung enrolls or parks the instance. A confirmed false alarm is relayed
+from the neighbourhood to the hospital, which cancels the care dispatch.
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ ROLE_KIND = {
     Role.NEED_PROFESSIONAL: AgentKind.PROFESSIONAL_CARER,
     Role.NEED_AMBULANCE: AgentKind.AMBULANCE,
     Role.NEED_INFORMAL: AgentKind.INFORMAL_CARER,
-    Role.NEED_TOP_COORDINATOR: AgentKind.COORDINATOR,
 }
 
 
@@ -57,15 +58,6 @@ REQUIRED_ROLES: dict[ProtocolKind, tuple[Role, ...]] = {
     ProtocolKind.VERIFY_VISIT: (Role.NEED_INFORMAL,),
     ProtocolKind.FALSE_ALARM_RELAY: (Role.NEED_TOP_COORDINATOR,),
     ProtocolKind.DISPATCH_CANCEL: (),
-}
-
-#: Highest circle level at which each protocol's roles can ever be filled;
-#: unfilled instances park there and retry (FIFO) after an agent is freed.
-RESOLUTION_LEVEL = {
-    ProtocolKind.CARE_DISPATCH: 3,
-    ProtocolKind.VERIFY_VISIT: 2,
-    ProtocolKind.FALSE_ALARM_RELAY: 3,
-    ProtocolKind.DISPATCH_CANCEL: 3,
 }
 
 
@@ -89,20 +81,11 @@ class EventKind(Enum):
 
 
 @dataclass(slots=True)
-class Circle:
-    id: int
-    level: int
-    coordinator_id: int
-    parent: Optional[int] = None
-
-
-@dataclass(slots=True)
 class ProtocolInstance:
     instance_id: int
     kind: ProtocolKind
     case_id: int
     state: InstanceState = InstanceState.READIED
-    current_circle: int = -1
     enrolled: list[int] = field(default_factory=list)
     enroll_tick: int = -1
     # First tick the enrolled agents are allowed to move.
@@ -117,7 +100,7 @@ class CaseOutcome(Enum):
 
 
 class FsoEngine:
-    """Deterministic driver of the circle hierarchy for one simulation run.
+    """Deterministic driver of the coordination protocols for one simulation run.
 
     `cases` entries are supplied by the scenario layer via :meth:`raise_alarm`;
     they must expose case_id, ea_id, true_fall, raised_tick, and the mutable
@@ -140,12 +123,8 @@ class FsoEngine:
         self.count_return_travel = count_return_travel
         self.trace = trace
 
-        self.circles: dict[int, Circle] = {}
         self.instances: dict[int, ProtocolInstance] = {}
         self.cases: dict[int, object] = {}
-        self.level1_by_elderly: dict[int, int] = {}
-        self.level2_id: Optional[int] = None
-        self.level3_id: int = -1
         # case id -> {protocol kind: instance id} for the dispatch/verify pair
         self.case_instances: dict[int, dict[ProtocolKind, int]] = {}
         self.retry_queue: deque[int] = deque()
@@ -153,44 +132,36 @@ class FsoEngine:
         self._freed = False
         # Hospital agents heading back to base after their instance ended.
         self.returning: list[AgentState] = []
-        # Running dispatch/verify instances, the only ones that need ticking.
+        # Running instances; only dispatches and visits ever run.
         self.active: set[int] = set()
         self._next_instance = 0
-        self._next_circle = 0
-        self._build_circles()
-        # Candidates per (circle, role): the hospital staff and the top
-        # coordinator in the top circle, the informal carers in the middle
-        # one. Every other pair has none, so its role escalates.
-        top = self.circles[self.level3_id]
-        self._role_candidates: dict[tuple[int, Role], list[int]] = {
-            (top.id, Role.NEED_PROFESSIONAL): list(world.professional_ids),
-            (top.id, Role.NEED_AMBULANCE): list(world.ambulance_ids),
-            (top.id, Role.NEED_TOP_COORDINATOR): [top.coordinator_id],
+        # Candidates per role: the hospital staff, and the informal carers of
+        # the neighbourhood. No other circle holds any.
+        self._role_candidates: dict[Role, list[int]] = {
+            Role.NEED_PROFESSIONAL: list(world.professional_ids),
+            Role.NEED_AMBULANCE: list(world.ambulance_ids),
+            Role.NEED_INFORMAL: list(world.informal_ids),
         }
-        if self.level2_id is not None:
-            self._role_candidates[(self.level2_id, Role.NEED_INFORMAL)] = list(
-                world.informal_ids
-            )
-
-    # -- structure -----------------------------------------------------------
-
-    def _new_circle(self, level: int, coordinator: int, parent: Optional[int]) -> Circle:
-        circle = Circle(self._next_circle, level, coordinator, parent)
-        self._next_circle += 1
-        self.circles[circle.id] = circle
-        return circle
-
-    def _build_circles(self) -> None:
-        world = self.world
-        top = self._new_circle(3, world.add_coordinator(world.hospital).id, None)
-        self.level3_id = top.id
-        parent = top.id
+        # A coordinator is only an id that names its circle in the trace.
+        # Ids follow the roster: the hospital, the neighbourhood (only with
+        # carers), then one per house in resident order.
+        top = self.hospital_coordinator = len(world.agents)
+        self.neighbourhood_coordinator: Optional[int] = None
+        above_house = {ProtocolKind.CARE_DISPATCH: (top,)}
+        first_house = top + 1
         if world.informal_ids:
-            mid = self._new_circle(2, world.add_coordinator(world.hospital).id, top.id)
-            self.level2_id = parent = mid.id
-        for eid in world.elderly_ids:
-            ca = world.add_coordinator(world.agents[eid].position)
-            self.level1_by_elderly[eid] = self._new_circle(1, ca.id, parent).id
+            middle = self.neighbourhood_coordinator = first_house
+            first_house += 1
+            above_house = {
+                ProtocolKind.CARE_DISPATCH: (middle, top),
+                ProtocolKind.VERIFY_VISIT: (middle,),
+            }
+        # Per resident, the coordinators each protocol of an alarm climbs,
+        # in launch order; the last one's circle holds the candidates.
+        self.ladders: dict[int, dict[ProtocolKind, tuple[int, ...]]] = {
+            eid: {kind: (house, *rest) for kind, rest in above_house.items()}
+            for house, eid in enumerate(world.elderly_ids, first_house)
+        }
 
     # -- tracing -------------------------------------------------------------
 
@@ -228,19 +199,16 @@ class FsoEngine:
         self.ledger.treated_cases += 1
         self.world.agents[case.ea_id].pending_case = case.case_id
         self._emit(EventKind.FALL_DETECTED, device_id, case.case_id, tick)
-        circle = self.circles[self.level1_by_elderly[case.ea_id]]
-        readied = [self._ready(ProtocolKind.CARE_DISPATCH, case.case_id, circle)]
-        if self.level2_id is not None:
-            readied.append(self._ready(ProtocolKind.VERIFY_VISIT, case.case_id, circle))
+        ladders = self.ladders[case.ea_id]
+        readied = [self._ready(kind, case.case_id) for kind in ladders]
         for instance in readied:
-            self._launch(instance, tick)
+            self._launch(instance, ladders[instance.kind], tick)
 
-    def _ready(self, kind: ProtocolKind, case_id: int, circle: Circle) -> ProtocolInstance:
+    def _ready(self, kind: ProtocolKind, case_id: int) -> ProtocolInstance:
         instance = ProtocolInstance(
             instance_id=self._next_instance,
             kind=kind,
             case_id=case_id,
-            current_circle=circle.id,
             target=self.world.agents[self.cases[case_id].ea_id].position,
         )
         self._next_instance += 1
@@ -249,40 +217,44 @@ class FsoEngine:
             self.case_instances[case_id][kind] = instance.instance_id
         return instance
 
-    def _launch(self, instance: ProtocolInstance, tick: int) -> None:
-        """Enroll, escalating through parents; park and retry if unfillable."""
-        circle = self.circles[instance.current_circle]
-        ceiling = RESOLUTION_LEVEL[instance.kind]
-        while True:
-            missing = self.try_enroll(instance, circle, tick)
-            if not missing:
-                self._on_running(instance, tick)
-                return
+    def _launch(
+        self, instance: ProtocolInstance, ladder: tuple[int, ...], tick: int
+    ) -> None:
+        """Escalate up the ladder; enroll at its top or park there for retry.
+
+        No circle below the last holds a candidate, so each of their
+        coordinators reports every required role missing.
+        """
+        for coordinator in ladder[:-1]:
             self._emit(
                 EventKind.ROLE_EXCEPTION,
-                circle.coordinator_id,
+                coordinator,
+                instance.case_id,
+                tick,
+                REQUIRED_ROLES[instance.kind],
+                instance.instance_id,
+            )
+        missing = self.try_enroll(instance, tick)
+        if missing:
+            self._emit(
+                EventKind.ROLE_EXCEPTION,
+                ladder[-1],
                 instance.case_id,
                 tick,
                 missing,
                 instance.instance_id,
             )
-            if circle.level >= ceiling or circle.parent is None:
-                self.retry_queue.append(instance.instance_id)
-                return
-            circle = self.circles[circle.parent]
-            instance.current_circle = circle.id
+            self.retry_queue.append(instance.instance_id)
 
     # -- enrollment ----------------------------------------------------------
 
-    def try_enroll(
-        self, instance: ProtocolInstance, circle: Circle, tick: int
-    ) -> list[Role]:
+    def try_enroll(self, instance: ProtocolInstance, tick: int) -> list[Role]:
         """Bind every required role or report the missing ones.
 
         Selection per role: nearest free candidate by travel time to the
         resident's house, ties broken by lowest agent id. Informal carers are
-        free while they walk, everyone else while idle (coordinators never
-        leave idle). Nothing is bound unless every role can be filled.
+        free while they walk, everyone else while idle. Nothing is bound
+        unless every role can be filled.
         """
         if instance.state in TERMINAL_STATES:
             raise ValueError("cannot enroll a terminal protocol instance")
@@ -295,7 +267,7 @@ class FsoEngine:
             free = AgentStatus.RANDOM_WALKING if role is Role.NEED_INFORMAL else AgentStatus.IDLE
             best: Optional[AgentState] = None
             best_key: tuple[int, int] = (0, 0)
-            for member_id in self._role_candidates.get((circle.id, role), ()):
+            for member_id in self._role_candidates[role]:
                 agent = agents[member_id]
                 if agent.status is not free or member_id in chosen:
                     continue
@@ -311,36 +283,15 @@ class FsoEngine:
 
         instance.enrolled = chosen
         instance.enroll_tick = tick
-        instance.current_circle = circle.id
         instance.state = InstanceState.RUNNING
         delay = self.dispatch_delay if instance.kind is ProtocolKind.CARE_DISPATCH else 0
         instance.first_move_tick = tick + 1 + delay
-        if instance.kind in (ProtocolKind.CARE_DISPATCH, ProtocolKind.VERIFY_VISIT):
-            self.active.add(instance.instance_id)
+        self.active.add(instance.instance_id)
         for agent_id in chosen:
             agent = agents[agent_id]
-            if agent.kind is AgentKind.COORDINATOR:
-                continue
             agent.status = AgentStatus.ENROLLED_TRAVELING
             agent.instance_id = instance.instance_id
         return []
-
-    def _on_running(self, instance: ProtocolInstance, tick: int) -> None:
-        """Kick off protocols whose effect is instantaneous."""
-        if instance.kind is ProtocolKind.FALSE_ALARM_RELAY:
-            # The relay only hands the confirmed false alarm to the top
-            # coordinator, which immediately runs the role-free cancellation.
-            instance.state = InstanceState.COMPLETED
-            instance.enrolled = []
-            cancel = self._ready(
-                ProtocolKind.DISPATCH_CANCEL,
-                instance.case_id,
-                self.circles[self.level3_id],
-            )
-            self._launch(cancel, tick)
-        elif instance.kind is ProtocolKind.DISPATCH_CANCEL:
-            instance.state = InstanceState.COMPLETED
-            self._execute_cancel(instance.case_id, tick)
 
     def _execute_cancel(self, case_id: int, tick: int) -> None:
         case = self.cases[case_id]
@@ -352,7 +303,7 @@ class FsoEngine:
         self._close_case(case, CaseOutcome.CANCELED, tick)
         self._emit(
             EventKind.DISPATCH_CANCELED,
-            self.circles[self.level3_id].coordinator_id,
+            self.hospital_coordinator,
             case_id,
             tick,
             instance=dispatch_id,
@@ -379,8 +330,7 @@ class FsoEngine:
         self.active.discard(instance.instance_id)
 
     def _release(self, agent: AgentState) -> None:
-        """Unbind an enrolled carer or hospital agent; no coordinator is ever
-        released, because the relay that enrolls one empties its roster at once."""
+        """Unbind an enrolled carer or hospital agent."""
         agent.instance_id = None
         if agent.kind is AgentKind.INFORMAL_CARER:
             self._free(agent, AgentStatus.RANDOM_WALKING)
@@ -460,12 +410,22 @@ class FsoEngine:
         if case.true_fall:
             self._emit(EventKind.FALL_CONFIRMED, carer.id, case.case_id, tick)
         else:
-            # The carer's circle relays the confirmed false alarm upward.
+            # The neighbourhood relays the confirmed false alarm to the
+            # hospital, whose coordinator takes it at once and runs the
+            # role-free cancellation; neither instance ever waits.
             self._emit(EventKind.FALSE_POSITIVE_CONFIRMED, carer.id, case.case_id, tick)
-            relay = self._ready(
-                ProtocolKind.FALSE_ALARM_RELAY, case.case_id, self.circles[self.level2_id]
+            relay = self._ready(ProtocolKind.FALSE_ALARM_RELAY, case.case_id)
+            self._emit(
+                EventKind.ROLE_EXCEPTION,
+                self.neighbourhood_coordinator,
+                case.case_id,
+                tick,
+                REQUIRED_ROLES[ProtocolKind.FALSE_ALARM_RELAY],
+                relay.instance_id,
             )
-            self._launch(relay, tick)
+            cancel = self._ready(ProtocolKind.DISPATCH_CANCEL, case.case_id)
+            relay.state = cancel.state = InstanceState.COMPLETED
+            self._execute_cancel(case.case_id, tick)
 
     def _on_convoy_arrival(self, instance: ProtocolInstance, tick: int) -> None:
         case = self.cases[instance.case_id]
@@ -507,12 +467,8 @@ class FsoEngine:
         pending = len(self.retry_queue)
         for _ in range(pending):
             instance_id = self.retry_queue.popleft()
-            instance = self.instances[instance_id]
-            missing = self.try_enroll(instance, self.circles[instance.current_circle], tick)
-            if missing:
+            if self.try_enroll(self.instances[instance_id], tick):
                 self.retry_queue.append(instance_id)
-            else:
-                self._on_running(instance, tick)
 
     # -- case closure --------------------------------------------------------
 
@@ -545,6 +501,10 @@ class FsoEngine:
             assert self.instances[instance_id].state is InstanceState.READIED, (
                 f"queued instance {instance_id} is not readied"
             )
+        for instance_id in self.active:
+            assert self.instances[instance_id].state is InstanceState.RUNNING, (
+                f"active instance {instance_id} is not running"
+            )
         for instance in self.instances.values():
             if instance.state in TERMINAL_STATES:
                 assert not instance.enrolled, (
@@ -552,12 +512,14 @@ class FsoEngine:
                 )
                 continue
             if instance.state is InstanceState.RUNNING:
-                circle = self.circles[instance.current_circle]
-                if instance.kind is ProtocolKind.CARE_DISPATCH:
-                    assert circle.level == 3, "care dispatch running below the top circle"
-                elif instance.kind is ProtocolKind.VERIFY_VISIT:
-                    assert circle.level == 2, "verification running outside the middle circle"
-                for role, agent_id in zip(REQUIRED_ROLES[instance.kind], instance.enrolled):
+                assert instance.instance_id in self.active, (
+                    f"running instance {instance.instance_id} is not ticked"
+                )
+                roles = REQUIRED_ROLES[instance.kind]
+                assert len(instance.enrolled) == len(roles), (
+                    f"instance {instance.instance_id} holds {instance.enrolled} for {roles}"
+                )
+                for role, agent_id in zip(roles, instance.enrolled):
                     agent = self.world.agents[agent_id]
                     expected = ROLE_KIND[role]
                     assert agent.kind is expected, (

@@ -101,8 +101,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for i in range(len(spec.x_values))
         for r in range(spec.replications)
     ]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    # A pool may start all its workers at once, so never ask for more than
+    # there are cells.
+    workers = min(spec.jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(run_simulation, configs))
     else:
         flat = [run_simulation(c) for c in configs]

@@ -41,7 +41,6 @@ class AgentKind(KeyEnum):
     INFORMAL_CARER = "informal_carer"
     PROFESSIONAL_CARER = "professional_carer"
     AMBULANCE = "ambulance"
-    COORDINATOR = "coordinator"
 
 
 #: Kinds that are allowed to change position.
@@ -213,16 +212,6 @@ class World:
         for a in roster:
             buckets[a.kind].append(a.id)
         return world
-
-    def add_coordinator(self, position: Position) -> AgentState:
-        agent = AgentState(
-            id=max(self.agents, default=-1) + 1,
-            kind=AgentKind.COORDINATOR,
-            position=position,
-            base=position,
-        )
-        self.agents[agent.id] = agent
-        return agent
 
     def in_bounds(self, p: Position) -> bool:
         return (

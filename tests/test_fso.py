@@ -1,4 +1,4 @@
-"""Circle hierarchy, enrollment, escalation, cancellation, and cost accrual.
+"""Escalation ladders, enrollment, cancellation, and cost accrual.
 
 These tests pin the protocol engine to hand-traced miniature worlds: one or
 two houses on a small grid with the hospital a known distance away, so every
@@ -15,7 +15,6 @@ from fallsim.fso import (
     InstanceState,
     ProtocolKind,
     REQUIRED_ROLES,
-    RESOLUTION_LEVEL,
     Role,
 )
 from fallsim.metrics import CostLedger
@@ -72,6 +71,18 @@ def build(
     return world, ledger, engine, records
 
 
+def escalation(records):
+    """Every record but the fall detections, as (event, agent, instance, missing)."""
+    return [
+        (r["event"], r["agent"], r["instance"], r["missing"])
+        for r in records
+        if r["event"] != EventKind.FALL_DETECTED.value
+    ]
+
+
+PROFESSIONAL_AND_AMBULANCE = [Role.NEED_PROFESSIONAL.value, Role.NEED_AMBULANCE.value]
+
+
 def raise_case(engine, world, case_id, elderly_index=0, true_fall=True, tick=0):
     eid = world.elderly_ids[elderly_index]
     device = next(d for d in world.device_ids if world.agents[d].watches == eid)
@@ -99,27 +110,73 @@ class TestReadyingAndEscalation:
         assert kinds == {ProtocolKind.CARE_DISPATCH}
         dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
         assert dispatch.state is InstanceState.RUNNING
-        assert engine.circles[dispatch.current_circle].level == 3
 
     def test_alarm_with_carers_readies_dispatch_and_verify(self):
         world, _, engine, _ = build(ic_positions=(Position(0, 3),))
         raise_case(engine, world, 0)
         verify = engine.instances[engine.case_instances[0][ProtocolKind.VERIFY_VISIT]]
         assert verify.state is InstanceState.RUNNING
-        assert engine.circles[verify.current_circle].level == 2
+
+    # Coordinator ids follow the roster. With one resident, one professional,
+    # one ambulance and one carer the agents are 0-4, so the hospital
+    # coordinator is 5, the neighbourhood's 6 and the house's 7; without the
+    # carer they are 4 and (house) 5.
 
     def test_escalation_emits_role_exceptions_within_one_tick(self):
+        # Dispatch: house, then neighbourhood; the hospital enrolls it.
+        # Visit: house; the neighbourhood enrolls it.
         world, _, engine, records = build(ic_positions=(Position(2, 2),))
-        raise_case(engine, world, 0, tick=0)
-        exceptions = [r for r in records if r["event"] == EventKind.ROLE_EXCEPTION.value]
-        # The house circle can satisfy neither protocol; the middle circle
-        # cannot satisfy the dispatch. All escalation happens at tick 0.
-        assert len(exceptions) >= 3
-        assert all(r["tick"] == 0 for r in exceptions)
-        missing = {role for r in exceptions for role in r["missing"]}
-        assert Role.NEED_PROFESSIONAL.value in missing
-        assert Role.NEED_AMBULANCE.value in missing
-        assert Role.NEED_INFORMAL.value in missing
+        raise_case(engine, world, 0, tick=3)
+        assert escalation(records) == [
+            ("role_exception", 7, 0, PROFESSIONAL_AND_AMBULANCE),
+            ("role_exception", 6, 0, PROFESSIONAL_AND_AMBULANCE),
+            ("role_exception", 7, 1, [Role.NEED_INFORMAL.value]),
+        ]
+        assert {r["tick"] for r in records} == {3}
+
+    def test_alarm_without_carers_escalates_from_house_only(self):
+        world, _, engine, records = build()
+        raise_case(engine, world, 0)
+        assert escalation(records) == [
+            ("role_exception", 5, 0, PROFESSIONAL_AND_AMBULANCE),
+        ]
+
+    def test_parked_instances_report_the_missing_subset_at_the_top(self):
+        # Agents 0-3 are two residents and their devices, then professional
+        # 4, ambulances 5 and 6 and carer 7; coordinators are 8 (hospital),
+        # 9 (neighbourhood), 10 and 11 (houses). Case 0 holds the professional
+        # and the carer, so case 1 parks its dispatch missing only the
+        # professional and its visit missing the carer.
+        world, _, engine, records = build(n_elderly=2, n_ma=2, ic_positions=(Position(2, 2),))
+        raise_case(engine, world, 0, elderly_index=0)
+        seen = len(records)
+        raise_case(engine, world, 1, elderly_index=1)
+        assert escalation(records[seen:]) == [
+            ("role_exception", 11, 2, PROFESSIONAL_AND_AMBULANCE),
+            ("role_exception", 9, 2, PROFESSIONAL_AND_AMBULANCE),
+            ("role_exception", 8, 2, [Role.NEED_PROFESSIONAL.value]),
+            ("role_exception", 11, 3, [Role.NEED_INFORMAL.value]),
+            ("role_exception", 9, 3, [Role.NEED_INFORMAL.value]),
+        ]
+        assert list(engine.retry_queue) == [2, 3]
+
+    def test_false_alarm_relays_from_neighbourhood_to_hospital(self):
+        world, _, engine, records = build(ic_positions=(Position(2, 0),), dispatch_delay=50)
+        case = raise_case(engine, world, 0, true_fall=False)
+        tick, emitted = run_until(engine, records, lambda: case.terminal_tick is not None)
+        # The relay is instance 2 and the cancel instance 3; both finish at once.
+        assert escalation(emitted) == [
+            ("false_positive_confirmed", 4, None, []),
+            ("role_exception", 6, 2, [Role.NEED_TOP_COORDINATOR.value]),
+            ("dispatch_canceled", 5, 0, []),
+        ]
+        assert engine.instances[2].kind is ProtocolKind.FALSE_ALARM_RELAY
+        assert engine.instances[3].kind is ProtocolKind.DISPATCH_CANCEL
+        raise_case(engine, world, 1, tick=tick + 1)
+        assert engine.case_instances[1] == {
+            ProtocolKind.CARE_DISPATCH: 4,
+            ProtocolKind.VERIFY_VISIT: 5,
+        }
 
     def test_protocol_role_tables(self):
         assert REQUIRED_ROLES[ProtocolKind.CARE_DISPATCH] == (
@@ -127,7 +184,6 @@ class TestReadyingAndEscalation:
             Role.NEED_AMBULANCE,
         )
         assert REQUIRED_ROLES[ProtocolKind.DISPATCH_CANCEL] == ()
-        assert RESOLUTION_LEVEL[ProtocolKind.VERIFY_VISIT] == 2
 
 
 class TestEnrollment:
@@ -158,7 +214,7 @@ class TestEnrollment:
         dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
         engine.cancel_protocol(dispatch, 1)
         with pytest.raises(ValueError):
-            engine.try_enroll(dispatch, engine.circles[engine.level3_id], 2)
+            engine.try_enroll(dispatch, 2)
 
     def test_exhausted_resources_park_in_retry_queue(self):
         world, _, engine, _ = build(n_elderly=2, n_pc=1, n_ma=1)

@@ -33,6 +33,52 @@ CONFIG_KEYS = [
 ]
 
 
+#: Good and bad values per flag of both commands. --ticks is always given,
+#: so no drawn run is long; --jobs never exceeds 1, so no pool is started.
+#: "{tmp}" stands for a fresh directory: a file in it, the directory itself
+#: (an I/O error, exit 1) or a path under a missing directory.
+COMMON_FLAG_VALUES = {
+    "--scenario": ["s1", "s2", "s3"],
+    "--seed": ["0", "7", "-1", "x"],
+    "--p-fall": ["0", "1", "0.3", "1.5", "-0.1", "p"],
+    "--p-fn": ["0", "1", "0.2", "2", "p"],
+    "--p-fp": ["0", "1", "0.01", "-1", "p"],
+    "--n-ea": ["0", "1", "5", "-1", "x"],
+    "--n-pc": ["0", "2", "-1", "x"],
+    "--n-ma": ["0", "2", "-1", "x"],
+    "--grid": ["1x1", "3x3", "9x9", "5x3", "2x2", "0x3", "9", "ax3"],
+    "--count-return-travel": ["true", "false", "maybe"],
+    "--dispatch-delay": ["0", "3", "-1", "x"],
+    "--out": ["{tmp}/out", "{tmp}", "{tmp}/missing/out"],
+}
+RUN_FLAG_VALUES = {
+    "--ics": ["0", "3", "6", "-1", "0..6:2", "x"],
+    "--trace": ["{tmp}/trace.jsonl", "{tmp}", "{tmp}/missing/trace.jsonl"],
+}
+SWEEP_FLAG_VALUES = {
+    "--ics": ["0", "6", "0..6:3", "2..4", "5..1", "0..6:0", "x"],
+    "--replications": ["1", "2", "0", "-1", "x"],
+    "--jobs": ["-1", "0", "1"],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A run or sweep command line with a subset of flags, good and bad."""
+    command = draw(st.sampled_from(["run", "sweep"]))
+    values = {
+        **COMMON_FLAG_VALUES,
+        **(RUN_FLAG_VALUES if command == "run" else SWEEP_FLAG_VALUES),
+    }
+    argv = [command, "--ticks", draw(st.sampled_from(["1", "5", "0", "-2", "x"]))]
+    for flag in draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=6)):
+        argv += [flag, draw(st.sampled_from(values[flag]))]
+    if command == "sweep" and "--out" not in argv:
+        # A sweep without --out writes into the working directory.
+        argv += ["--out", "{tmp}/sweep"]
+    return argv
+
+
 def run_cli(argv):
     """Exit status of ``main(argv)``, whether it returns or exits."""
     try:
@@ -130,6 +176,32 @@ class TestRunSweep:
         assert [[r.csv_row() for r in level] for level in pooled.reports] == [
             [r.csv_row() for r in level] for level in serial.reports
         ]
+
+    def test_pool_never_has_more_workers_than_cells(self, monkeypatch):
+        # A fake pool records its size and maps in this process, so no
+        # worker process is started.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr("fallsim.sweep.ProcessPoolExecutor", FakePool)
+        two_cells = run_sweep(tiny_spec(replications=1, jobs=8))
+        assert sizes == [2]
+        assert len(two_cells.reports) == 2
+        one_cell = run_sweep(tiny_spec(x_values=(0,), replications=1, jobs=8))
+        assert sizes == [2]
+        assert len(one_cell.reports) == 1
 
 
 class TestEmission:
@@ -301,6 +373,20 @@ class TestCli:
             code = run_cli(["run", "--config", str(config), "--ticks", "20"])
         assert code in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    @given(argv=argvs())
+    @settings(
+        max_examples=120, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_argv_never_raises_a_traceback(self, argv, capsys):
+        with tempfile.TemporaryDirectory() as tmp:
+            code = run_cli([arg.replace("{tmp}", tmp) for arg in argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert "error:" in err.splitlines()[-1]
 
     def test_sweep_zero_replications_exits_two(self, capsys):
         assert main(["sweep", "--replications", "0", "--ticks", "10"]) == 2
