@@ -76,18 +76,21 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = ScenarioConfig()
+    sensor, world = defaults.sensor, defaults.world
     parser.add_argument("--scenario", choices=["s1", "s2"], default="s1")
-    parser.add_argument("--ticks", type=int, default=10_000)
+    parser.add_argument("--ticks", type=int, default=defaults.ticks)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--p-fall", type=_parse_probability, default=1 / 600)
-    parser.add_argument("--p-fn", type=_parse_probability, default=1 / 5)
-    parser.add_argument("--p-fp", type=_parse_probability, default=1 / 500)
-    parser.add_argument("--n-ea", type=int, default=30)
-    parser.add_argument("--n-pc", type=int, default=6)
-    parser.add_argument("--n-ma", type=int, default=5)
-    parser.add_argument("--grid", type=_parse_grid, default=(33, 33))
-    parser.add_argument("--count-return-travel", type=_parse_bool, default=True)
-    parser.add_argument("--dispatch-delay", type=int, default=5)
+    parser.add_argument("--p-fall", type=_parse_probability, default=defaults.p_fall)
+    parser.add_argument("--p-fn", type=_parse_probability, default=sensor.p_false_negative)
+    parser.add_argument("--p-fp", type=_parse_probability, default=sensor.p_false_positive)
+    parser.add_argument("--n-ea", type=int, default=world.n_elderly)
+    parser.add_argument("--n-pc", type=int, default=world.n_professional)
+    parser.add_argument("--n-ma", type=int, default=world.n_ambulances)
+    parser.add_argument("--grid", type=_parse_grid, default=(world.width, world.height))
+    parser.add_argument("--count-return-travel", type=_parse_bool,
+                        default=defaults.count_return_travel)
+    parser.add_argument("--dispatch-delay", type=int, default=defaults.dispatch_delay)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON file with defaults for the other flags")

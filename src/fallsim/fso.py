@@ -10,13 +10,18 @@ carers exist, a verification visit. Each role has candidates in one circle
 only, so every protocol climbs a fixed ladder of coordinators within the
 same tick: each rung below the last reports all its roles missing, and the
 last rung enrolls or parks the instance. A confirmed false alarm is relayed
-from the neighbourhood to the hospital, which cancels the care dispatch.
+from the neighbourhood to the hospital, which cancels the care dispatch at
+once; the relay and the cancel take the next two instance ids in the trace
+but are never stored. Each instance carries its case and its partner, the
+other protocol of the same alarm. The engine holds only live instances:
+parked ones in the retry queue and running ones in the active set.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .metrics import CostLedger
@@ -49,15 +54,11 @@ ROLE_KIND = {
 class ProtocolKind(KeyEnum):
     CARE_DISPATCH = "care_dispatch"  # professional + ambulance convoy
     VERIFY_VISIT = "verify_visit"  # informal carer checks on the resident
-    FALSE_ALARM_RELAY = "false_alarm_relay"  # forward a confirmed false alarm up
-    DISPATCH_CANCEL = "dispatch_cancel"  # role-free abort of the care dispatch
 
 
 REQUIRED_ROLES: dict[ProtocolKind, tuple[Role, ...]] = {
     ProtocolKind.CARE_DISPATCH: (Role.NEED_PROFESSIONAL, Role.NEED_AMBULANCE),
     ProtocolKind.VERIFY_VISIT: (Role.NEED_INFORMAL,),
-    ProtocolKind.FALSE_ALARM_RELAY: (Role.NEED_TOP_COORDINATOR,),
-    ProtocolKind.DISPATCH_CANCEL: (),
 }
 
 
@@ -80,17 +81,26 @@ class EventKind(Enum):
     DISPATCH_CANCELED = "dispatch_canceled"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ProtocolInstance:
+    """One protocol of one alarm; it compares and hashes by identity."""
+
     instance_id: int
     kind: ProtocolKind
-    case_id: int
+    # The scenario's case record of the alarm.
+    case: object
+    # The resident's house.
+    target: Position
     state: InstanceState = InstanceState.READIED
     enrolled: list[int] = field(default_factory=list)
     enroll_tick: int = -1
     # First tick the enrolled agents are allowed to move.
     first_move_tick: int = -1
-    target: Optional[Position] = None
+    # The other protocol of the same alarm: a visit's dispatch and back.
+    partner: Optional[ProtocolInstance] = None
+
+
+_by_id = attrgetter("instance_id")
 
 
 class CaseOutcome(Enum):
@@ -102,10 +112,11 @@ class CaseOutcome(Enum):
 class FsoEngine:
     """Deterministic driver of the coordination protocols for one simulation run.
 
-    `cases` entries are supplied by the scenario layer via :meth:`raise_alarm`;
-    they must expose case_id, ea_id, true_fall, raised_tick, and the mutable
+    Cases are supplied by the scenario layer via :meth:`raise_alarm`; they
+    must expose case_id, ea_id, true_fall, raised_tick, and the mutable
     outcome, terminal_tick and waiting_time fields of the scenario's case
-    record type.
+    record type. Each instance carries its case. The engine holds only live
+    instances and drops an instance once it completes or is canceled.
     """
 
     def __init__(
@@ -113,8 +124,8 @@ class FsoEngine:
         world: World,
         ledger: CostLedger,
         *,
-        dispatch_delay: int = 5,
-        count_return_travel: bool = True,
+        dispatch_delay: int,
+        count_return_travel: bool,
         trace: Optional[Callable[[dict], None]] = None,
     ) -> None:
         self.world = world
@@ -123,17 +134,13 @@ class FsoEngine:
         self.count_return_travel = count_return_travel
         self.trace = trace
 
-        self.instances: dict[int, ProtocolInstance] = {}
-        self.cases: dict[int, object] = {}
-        # case id -> {protocol kind: instance id} for the dispatch/verify pair
-        self.case_instances: dict[int, dict[ProtocolKind, int]] = {}
-        self.retry_queue: deque[int] = deque()
+        self.retry_queue: deque[ProtocolInstance] = deque()
         # Set when an agent becomes enrollable; parked instances wait for it.
         self._freed = False
         # Hospital agents heading back to base after their instance ended.
         self.returning: list[AgentState] = []
-        # Running instances; only dispatches and visits ever run.
-        self.active: set[int] = set()
+        # Running instances.
+        self.active: set[ProtocolInstance] = set()
         self._next_instance = 0
         # Candidates per role: the hospital staff, and the informal carers of
         # the neighbourhood. No other circle holds any.
@@ -189,33 +196,27 @@ class FsoEngine:
     # -- alarm intake --------------------------------------------------------
 
     def raise_alarm(self, case, device_id: int, tick: int) -> None:
-        """Register a fresh alarm case and ready its protocols in the house circle.
+        """Take a fresh alarm case and ready its protocols in the house circle.
 
         Both protocols are readied before either is launched; this order
         fixes the instance ids that appear in the trace.
         """
-        self.cases[case.case_id] = case
-        self.case_instances[case.case_id] = {}
         self.ledger.treated_cases += 1
-        self.world.agents[case.ea_id].pending_case = case.case_id
+        resident = self.world.agents[case.ea_id]
+        resident.pending_case = case.case_id
         self._emit(EventKind.FALL_DETECTED, device_id, case.case_id, tick)
         ladders = self.ladders[case.ea_id]
-        readied = [self._ready(kind, case.case_id) for kind in ladders]
+        first = self._next_instance
+        readied = [
+            ProtocolInstance(first + offset, kind, case, resident.position)
+            for offset, kind in enumerate(ladders)
+        ]
+        self._next_instance += len(readied)
+        if len(readied) == 2:
+            dispatch, visit = readied
+            dispatch.partner, visit.partner = visit, dispatch
         for instance in readied:
             self._launch(instance, ladders[instance.kind], tick)
-
-    def _ready(self, kind: ProtocolKind, case_id: int) -> ProtocolInstance:
-        instance = ProtocolInstance(
-            instance_id=self._next_instance,
-            kind=kind,
-            case_id=case_id,
-            target=self.world.agents[self.cases[case_id].ea_id].position,
-        )
-        self._next_instance += 1
-        self.instances[instance.instance_id] = instance
-        if kind in (ProtocolKind.CARE_DISPATCH, ProtocolKind.VERIFY_VISIT):
-            self.case_instances[case_id][kind] = instance.instance_id
-        return instance
 
     def _launch(
         self, instance: ProtocolInstance, ladder: tuple[int, ...], tick: int
@@ -229,7 +230,7 @@ class FsoEngine:
             self._emit(
                 EventKind.ROLE_EXCEPTION,
                 coordinator,
-                instance.case_id,
+                instance.case.case_id,
                 tick,
                 REQUIRED_ROLES[instance.kind],
                 instance.instance_id,
@@ -239,12 +240,12 @@ class FsoEngine:
             self._emit(
                 EventKind.ROLE_EXCEPTION,
                 ladder[-1],
-                instance.case_id,
+                instance.case.case_id,
                 tick,
                 missing,
                 instance.instance_id,
             )
-            self.retry_queue.append(instance.instance_id)
+            self.retry_queue.append(instance)
 
     # -- enrollment ----------------------------------------------------------
 
@@ -286,32 +287,14 @@ class FsoEngine:
         instance.state = InstanceState.RUNNING
         delay = self.dispatch_delay if instance.kind is ProtocolKind.CARE_DISPATCH else 0
         instance.first_move_tick = tick + 1 + delay
-        self.active.add(instance.instance_id)
+        self.active.add(instance)
         for agent_id in chosen:
-            agent = agents[agent_id]
-            agent.status = AgentStatus.ENROLLED_TRAVELING
-            agent.instance_id = instance.instance_id
+            agents[agent_id].status = AgentStatus.ENROLLED_TRAVELING
         return []
-
-    def _execute_cancel(self, case_id: int, tick: int) -> None:
-        case = self.cases[case_id]
-        dispatch_id = self.case_instances[case_id].get(ProtocolKind.CARE_DISPATCH)
-        if dispatch_id is not None:
-            dispatch = self.instances[dispatch_id]
-            if dispatch.state not in TERMINAL_STATES:
-                self.cancel_protocol(dispatch, tick)
-        self._close_case(case, CaseOutcome.CANCELED, tick)
-        self._emit(
-            EventKind.DISPATCH_CANCELED,
-            self.hospital_coordinator,
-            case_id,
-            tick,
-            instance=dispatch_id,
-        )
 
     # -- cancellation and release --------------------------------------------
 
-    def cancel_protocol(self, instance: ProtocolInstance, tick: int) -> None:
+    def cancel_protocol(self, instance: ProtocolInstance) -> None:
         """Abort a non-terminal instance, freeing its agents.
 
         Carers resume their walk immediately; hospital agents head back to
@@ -322,16 +305,15 @@ class FsoEngine:
             return
         if instance.state is InstanceState.READIED:
             # Outside _launch a readied instance is always parked.
-            self.retry_queue.remove(instance.instance_id)
+            self.retry_queue.remove(instance)
         for agent_id in instance.enrolled:
             self._release(self.world.agents[agent_id])
         instance.enrolled = []
         instance.state = InstanceState.CANCELED
-        self.active.discard(instance.instance_id)
+        self.active.discard(instance)
 
     def _release(self, agent: AgentState) -> None:
         """Unbind an enrolled carer or hospital agent."""
-        agent.instance_id = None
         if agent.kind is AgentKind.INFORMAL_CARER:
             self._free(agent, AgentStatus.RANDOM_WALKING)
         elif agent.position == agent.base:
@@ -352,7 +334,7 @@ class FsoEngine:
         self._advance_returning()
         # Verification visits resolve before the convoy on ties, so a carer
         # reaching the house the same tick as the ambulance does the check.
-        active = [self.instances[i] for i in sorted(self.active)]
+        active = sorted(self.active, key=_by_id)
         for instance in active:
             if instance.kind is ProtocolKind.VERIFY_VISIT:
                 self._advance_instance(instance, tick)
@@ -399,36 +381,44 @@ class FsoEngine:
             self._on_convoy_arrival(instance, tick)
 
     def _on_verifier_arrival(self, instance: ProtocolInstance, tick: int) -> None:
-        case = self.cases[instance.case_id]
+        case = instance.case
         carer = self.world.agents[instance.enrolled[0]]
         self.ledger.v_informal += 1
         self._record_waiting(case, tick)
         instance.state = InstanceState.COMPLETED
         instance.enrolled = []
-        self.active.discard(instance.instance_id)
+        self.active.discard(instance)
         self._release(carer)
         if case.true_fall:
             self._emit(EventKind.FALL_CONFIRMED, carer.id, case.case_id, tick)
-        else:
-            # The neighbourhood relays the confirmed false alarm to the
-            # hospital, whose coordinator takes it at once and runs the
-            # role-free cancellation; neither instance ever waits.
-            self._emit(EventKind.FALSE_POSITIVE_CONFIRMED, carer.id, case.case_id, tick)
-            relay = self._ready(ProtocolKind.FALSE_ALARM_RELAY, case.case_id)
-            self._emit(
-                EventKind.ROLE_EXCEPTION,
-                self.neighbourhood_coordinator,
-                case.case_id,
-                tick,
-                REQUIRED_ROLES[ProtocolKind.FALSE_ALARM_RELAY],
-                relay.instance_id,
-            )
-            cancel = self._ready(ProtocolKind.DISPATCH_CANCEL, case.case_id)
-            relay.state = cancel.state = InstanceState.COMPLETED
-            self._execute_cancel(case.case_id, tick)
+            return
+        # The neighbourhood relays the confirmed false alarm to the hospital,
+        # whose coordinator takes it at once and cancels the dispatch. The
+        # relay and the cancel never wait, so each is only an instance id:
+        # the relay's appears in the trace, the cancel's in no record.
+        self._emit(EventKind.FALSE_POSITIVE_CONFIRMED, carer.id, case.case_id, tick)
+        self._emit(
+            EventKind.ROLE_EXCEPTION,
+            self.neighbourhood_coordinator,
+            case.case_id,
+            tick,
+            (Role.NEED_TOP_COORDINATOR,),
+            self._next_instance,
+        )
+        self._next_instance += 2
+        dispatch = instance.partner
+        self.cancel_protocol(dispatch)
+        self._close_case(case, CaseOutcome.CANCELED, tick)
+        self._emit(
+            EventKind.DISPATCH_CANCELED,
+            self.hospital_coordinator,
+            case.case_id,
+            tick,
+            instance=dispatch.instance_id,
+        )
 
     def _on_convoy_arrival(self, instance: ProtocolInstance, tick: int) -> None:
-        case = self.cases[instance.case_id]
+        case = instance.case
         if case.true_fall:
             self.ledger.interventions += 1
         else:
@@ -441,16 +431,13 @@ class FsoEngine:
             tick,
             instance=instance.instance_id,
         )
-        verify_id = self.case_instances[case.case_id].get(ProtocolKind.VERIFY_VISIT)
-        if verify_id is not None:
-            verify = self.instances[verify_id]
-            if verify.state not in TERMINAL_STATES:
-                self.cancel_protocol(verify, tick)
+        if instance.partner is not None:
+            self.cancel_protocol(instance.partner)
         for agent_id in instance.enrolled:
             self._release(self.world.agents[agent_id])
         instance.enrolled = []
         instance.state = InstanceState.COMPLETED
-        self.active.discard(instance.instance_id)
+        self.active.discard(instance)
         self._close_case(case, CaseOutcome.SERVED, tick)
 
     def _retry_parked(self, tick: int) -> None:
@@ -466,9 +453,9 @@ class FsoEngine:
         self._freed = False
         pending = len(self.retry_queue)
         for _ in range(pending):
-            instance_id = self.retry_queue.popleft()
-            if self.try_enroll(self.instances[instance_id], tick):
-                self.retry_queue.append(instance_id)
+            instance = self.retry_queue.popleft()
+            if self.try_enroll(instance, tick):
+                self.retry_queue.append(instance)
 
     # -- case closure --------------------------------------------------------
 
@@ -484,52 +471,44 @@ class FsoEngine:
         self.world.agents[case.ea_id].pending_case = None
 
     def finalize(self, final_tick: int) -> None:
-        """Close everything still in flight at the end of the run."""
-        for instance in self.instances.values():
-            if instance.state not in TERMINAL_STATES:
-                self.cancel_protocol(instance, final_tick)
-        for case in self.cases.values():
-            if case.terminal_tick is None:
-                self._close_case(case, CaseOutcome.CLOSED_AT_RUN_END, final_tick)
+        """Cancel every live instance and close its case if still open.
+
+        A case stays open only while its dispatch is live, so this closes
+        every open case.
+        """
+        for instance in sorted([*self.active, *self.retry_queue], key=_by_id):
+            self.cancel_protocol(instance)
+            if instance.case.terminal_tick is None:
+                self._close_case(instance.case, CaseOutcome.CLOSED_AT_RUN_END, final_tick)
 
     # -- invariant audit -----------------------------------------------------
 
     def audit(self) -> None:
         """Assert cross-cutting safety invariants; used by tests."""
+        for instance in self.retry_queue:
+            assert instance.state is InstanceState.READIED, (
+                f"queued instance {instance.instance_id} is not readied"
+            )
         bound: dict[int, int] = {}
-        for instance_id in self.retry_queue:
-            assert self.instances[instance_id].state is InstanceState.READIED, (
-                f"queued instance {instance_id} is not readied"
+        for instance in self.active:
+            assert instance.state is InstanceState.RUNNING, (
+                f"active instance {instance.instance_id} is not running"
             )
-        for instance_id in self.active:
-            assert self.instances[instance_id].state is InstanceState.RUNNING, (
-                f"active instance {instance_id} is not running"
+            roles = REQUIRED_ROLES[instance.kind]
+            assert len(instance.enrolled) == len(roles), (
+                f"instance {instance.instance_id} holds {instance.enrolled} for {roles}"
             )
-        for instance in self.instances.values():
-            if instance.state in TERMINAL_STATES:
-                assert not instance.enrolled, (
-                    f"terminal instance {instance.instance_id} still holds agents"
+            for role, agent_id in zip(roles, instance.enrolled):
+                agent = self.world.agents[agent_id]
+                expected = ROLE_KIND[role]
+                assert agent.kind is expected, (
+                    f"agent {agent_id} of kind {agent.kind} bound to role {role}"
                 )
-                continue
-            if instance.state is InstanceState.RUNNING:
-                assert instance.instance_id in self.active, (
-                    f"running instance {instance.instance_id} is not ticked"
-                )
-                roles = REQUIRED_ROLES[instance.kind]
-                assert len(instance.enrolled) == len(roles), (
-                    f"instance {instance.instance_id} holds {instance.enrolled} for {roles}"
-                )
-                for role, agent_id in zip(roles, instance.enrolled):
-                    agent = self.world.agents[agent_id]
-                    expected = ROLE_KIND[role]
-                    assert agent.kind is expected, (
-                        f"agent {agent_id} of kind {agent.kind} bound to role {role}"
-                    )
-                    assert agent_id not in bound, f"agent {agent_id} enrolled twice"
-                    bound[agent_id] = instance.instance_id
+                assert agent_id not in bound, f"agent {agent_id} enrolled twice"
+                bound[agent_id] = instance.instance_id
         for agent in self.world.agents.values():
-            if agent.status is AgentStatus.ENROLLED_TRAVELING:
-                assert agent.instance_id is not None
-                inst = self.instances[agent.instance_id]
-                assert inst.state not in TERMINAL_STATES
+            traveling = agent.status is AgentStatus.ENROLLED_TRAVELING
+            assert traveling == (agent.id in bound), (
+                f"agent {agent.id} is {agent.status.value} but bound to {bound.get(agent.id)}"
+            )
             assert self.world.in_bounds(agent.position), f"agent {agent.id} out of bounds"

@@ -81,8 +81,6 @@ class AgentState:
     pending_case: Optional[int] = None
     # Device only: id of the elderly resident it watches.
     watches: Optional[int] = None
-    # Enrolled agents: the protocol instance they serve.
-    instance_id: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ two houses on a small grid with the hospital a known distance away, so every
 arrival tick and accrued cost can be computed by hand. Events are read from
 the engine's trace records, its only event output.
 """
+import gc
 from random import Random
 
 import pytest
@@ -13,12 +14,13 @@ from fallsim.fso import (
     EventKind,
     FsoEngine,
     InstanceState,
+    ProtocolInstance,
     ProtocolKind,
     REQUIRED_ROLES,
     Role,
 )
 from fallsim.metrics import CostLedger
-from fallsim.scenario import CaseRecord
+from fallsim.scenario import CaseRecord, Scenario, ScenarioConfig, Simulation
 from fallsim.world import (
     AgentKind,
     AgentStatus,
@@ -91,6 +93,15 @@ def raise_case(engine, world, case_id, elderly_index=0, true_fall=True, tick=0):
     return case
 
 
+def live(engine, case, kind):
+    """The live instance of this kind serving this case, running or parked."""
+    return next(
+        instance
+        for instance in (*engine.active, *engine.retry_queue)
+        if instance.case is case and instance.kind is kind
+    )
+
+
 def run_until(engine, records, predicate, start=1, limit=200):
     """Tick until predicate() holds; return that tick and the records it emitted."""
     for tick in range(start, limit):
@@ -105,17 +116,21 @@ def run_until(engine, records, predicate, start=1, limit=200):
 class TestReadyingAndEscalation:
     def test_alarm_without_carers_readies_only_dispatch(self):
         world, _, engine, _ = build()
-        raise_case(engine, world, 0)
-        kinds = {i.kind for i in engine.instances.values()}
-        assert kinds == {ProtocolKind.CARE_DISPATCH}
-        dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
+        case = raise_case(engine, world, 0)
+        assert not engine.retry_queue
+        (dispatch,) = engine.active
+        assert dispatch.kind is ProtocolKind.CARE_DISPATCH
+        assert dispatch.case is case
+        assert dispatch.partner is None
         assert dispatch.state is InstanceState.RUNNING
 
     def test_alarm_with_carers_readies_dispatch_and_verify(self):
         world, _, engine, _ = build(ic_positions=(Position(0, 3),))
-        raise_case(engine, world, 0)
-        verify = engine.instances[engine.case_instances[0][ProtocolKind.VERIFY_VISIT]]
+        case = raise_case(engine, world, 0)
+        verify = live(engine, case, ProtocolKind.VERIFY_VISIT)
         assert verify.state is InstanceState.RUNNING
+        dispatch = live(engine, case, ProtocolKind.CARE_DISPATCH)
+        assert verify.partner is dispatch and dispatch.partner is verify
 
     # Coordinator ids follow the roster. With one resident, one professional,
     # one ambulance and one carer the agents are 0-4, so the hospital
@@ -158,32 +173,28 @@ class TestReadyingAndEscalation:
             ("role_exception", 11, 3, [Role.NEED_INFORMAL.value]),
             ("role_exception", 9, 3, [Role.NEED_INFORMAL.value]),
         ]
-        assert list(engine.retry_queue) == [2, 3]
+        assert [i.instance_id for i in engine.retry_queue] == [2, 3]
 
     def test_false_alarm_relays_from_neighbourhood_to_hospital(self):
         world, _, engine, records = build(ic_positions=(Position(2, 0),), dispatch_delay=50)
         case = raise_case(engine, world, 0, true_fall=False)
         tick, emitted = run_until(engine, records, lambda: case.terminal_tick is not None)
-        # The relay is instance 2 and the cancel instance 3; both finish at once.
+        # The relay takes id 2 and the cancel id 3; neither is kept.
         assert escalation(emitted) == [
             ("false_positive_confirmed", 4, None, []),
             ("role_exception", 6, 2, [Role.NEED_TOP_COORDINATOR.value]),
             ("dispatch_canceled", 5, 0, []),
         ]
-        assert engine.instances[2].kind is ProtocolKind.FALSE_ALARM_RELAY
-        assert engine.instances[3].kind is ProtocolKind.DISPATCH_CANCEL
-        raise_case(engine, world, 1, tick=tick + 1)
-        assert engine.case_instances[1] == {
-            ProtocolKind.CARE_DISPATCH: 4,
-            ProtocolKind.VERIFY_VISIT: 5,
-        }
+        assert not engine.active and not engine.retry_queue
+        next_case = raise_case(engine, world, 1, tick=tick + 1)
+        assert live(engine, next_case, ProtocolKind.CARE_DISPATCH).instance_id == 4
+        assert live(engine, next_case, ProtocolKind.VERIFY_VISIT).instance_id == 5
 
     def test_protocol_role_tables(self):
         assert REQUIRED_ROLES[ProtocolKind.CARE_DISPATCH] == (
             Role.NEED_PROFESSIONAL,
             Role.NEED_AMBULANCE,
         )
-        assert REQUIRED_ROLES[ProtocolKind.DISPATCH_CANCEL] == ()
 
 
 class TestEnrollment:
@@ -194,14 +205,14 @@ class TestEnrollment:
             ic_positions=(Position(5, 0), Position(3, 0), Position(0, 3))
         )
         ids = world.informal_ids
-        raise_case(engine, world, 0)
-        verify = engine.instances[engine.case_instances[0][ProtocolKind.VERIFY_VISIT]]
+        case = raise_case(engine, world, 0)
+        verify = live(engine, case, ProtocolKind.VERIFY_VISIT)
         assert verify.enrolled == [ids[1]]
 
     def test_enrollment_is_all_or_nothing(self):
         world, _, engine, _ = build(n_pc=1, n_ma=0)
-        raise_case(engine, world, 0)
-        dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
+        case = raise_case(engine, world, 0)
+        dispatch = live(engine, case, ProtocolKind.CARE_DISPATCH)
         assert dispatch.state is InstanceState.READIED
         assert dispatch.enrolled == []
         # The available professional was not grabbed speculatively.
@@ -210,28 +221,28 @@ class TestEnrollment:
 
     def test_terminal_instance_cannot_reenroll(self):
         world, _, engine, _ = build()
-        raise_case(engine, world, 0)
-        dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
-        engine.cancel_protocol(dispatch, 1)
+        case = raise_case(engine, world, 0)
+        dispatch = live(engine, case, ProtocolKind.CARE_DISPATCH)
+        engine.cancel_protocol(dispatch)
         with pytest.raises(ValueError):
             engine.try_enroll(dispatch, 2)
 
     def test_exhausted_resources_park_in_retry_queue(self):
         world, _, engine, _ = build(n_elderly=2, n_pc=1, n_ma=1)
-        raise_case(engine, world, 0, elderly_index=0)
-        raise_case(engine, world, 1, elderly_index=1)
-        first = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
-        second = engine.instances[engine.case_instances[1][ProtocolKind.CARE_DISPATCH]]
+        case_a = raise_case(engine, world, 0, elderly_index=0)
+        case_b = raise_case(engine, world, 1, elderly_index=1)
+        first = live(engine, case_a, ProtocolKind.CARE_DISPATCH)
+        second = live(engine, case_b, ProtocolKind.CARE_DISPATCH)
         assert first.state is InstanceState.RUNNING
         assert second.state is InstanceState.READIED
-        assert list(engine.retry_queue) == [second.instance_id]
+        assert list(engine.retry_queue) == [second]
 
     def test_parked_dispatch_runs_after_convoy_returns(self):
         world, ledger, engine, records = build(n_elderly=2, n_pc=1, n_ma=1)
         case_a = raise_case(engine, world, 0, elderly_index=0, true_fall=True)
         case_b = raise_case(engine, world, 1, elderly_index=1, true_fall=True)
         run_until(engine, records, lambda: case_a.terminal_tick is not None)
-        second = engine.instances[engine.case_instances[1][ProtocolKind.CARE_DISPATCH]]
+        second = live(engine, case_b, ProtocolKind.CARE_DISPATCH)
         assert second.state is InstanceState.READIED  # crew still returning
         run_until(
             engine,
@@ -254,8 +265,8 @@ class TestRetryAfterFree:
             n_elderly=2, ic_positions=(Position(-8, -8),), dispatch_delay=0
         )
         case_a = raise_case(engine, world, 0, elderly_index=1)
-        raise_case(engine, world, 1, elderly_index=0)
-        verify_b = engine.instances[engine.case_instances[1][ProtocolKind.VERIFY_VISIT]]
+        case_b = raise_case(engine, world, 1, elderly_index=0)
+        verify_b = live(engine, case_b, ProtocolKind.VERIFY_VISIT)
         assert verify_b.state is InstanceState.READIED
         tick, _ = run_until(engine, records, lambda: verify_b.state is InstanceState.RUNNING)
         assert tick == case_a.terminal_tick == 8
@@ -264,15 +275,15 @@ class TestRetryAfterFree:
 
     def test_crew_cancelled_at_base_enrolls_parked_dispatch(self):
         world, _, engine, _ = build(n_elderly=2, dispatch_delay=50)
-        raise_case(engine, world, 0, elderly_index=0)
-        raise_case(engine, world, 1, elderly_index=1)
-        first = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
-        second = engine.instances[engine.case_instances[1][ProtocolKind.CARE_DISPATCH]]
+        case_a = raise_case(engine, world, 0, elderly_index=0)
+        case_b = raise_case(engine, world, 1, elderly_index=1)
+        first = live(engine, case_a, ProtocolKind.CARE_DISPATCH)
+        second = live(engine, case_b, ProtocolKind.CARE_DISPATCH)
         for tick in range(1, 5):
             engine.tick_protocols(tick)
         assert second.state is InstanceState.READIED
         # Still mobilizing, so the crew is at base and idle at once.
-        engine.cancel_protocol(first, 5)
+        engine.cancel_protocol(first)
         for aid in world.professional_ids + world.ambulance_ids:
             assert world.agents[aid].status is AgentStatus.IDLE
         engine.tick_protocols(5)
@@ -283,8 +294,8 @@ class TestRetryAfterFree:
     def test_crew_back_at_base_enrolls_parked_dispatch(self):
         world, _, engine, records = build(n_elderly=2, dispatch_delay=0)
         raise_case(engine, world, 0, elderly_index=0)
-        raise_case(engine, world, 1, elderly_index=1)
-        second = engine.instances[engine.case_instances[1][ProtocolKind.CARE_DISPATCH]]
+        case_b = raise_case(engine, world, 1, elderly_index=1)
+        second = live(engine, case_b, ProtocolKind.CARE_DISPATCH)
         tick, _ = run_until(engine, records, lambda: second.state is InstanceState.RUNNING)
         # Eight ticks out to house 0 and eight back to the hospital.
         assert tick == second.enroll_tick == 16
@@ -298,6 +309,7 @@ class TestFalseAlarmChain:
             ic_positions=(Position(2, 0),), dispatch_delay=50
         )
         case = raise_case(engine, world, 0, true_fall=False, tick=0)
+        dispatch = live(engine, case, ProtocolKind.CARE_DISPATCH)
         tick, emitted = run_until(engine, records, lambda: case.terminal_tick is not None)
         assert tick == 2  # enroll at 0, move at 1 and 2
         kinds = [r["event"] for r in emitted]
@@ -307,8 +319,8 @@ class TestFalseAlarmChain:
         assert case.waiting_time == 2
         assert ledger.v_informal == 1
         assert ledger.v_ambulance == 0
-        dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
         assert dispatch.state is InstanceState.CANCELED
+        assert not engine.active and not engine.retry_queue
         # The convoy never left its base, so it is idle again at once.
         for aid in world.professional_ids + world.ambulance_ids:
             assert world.agents[aid].status is AgentStatus.IDLE
@@ -325,7 +337,7 @@ class TestFalseAlarmChain:
         assert tick == 2
         assert case.waiting_time == 2  # frozen at verification
         assert case.terminal_tick is None
-        dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
+        dispatch = live(engine, case, ProtocolKind.CARE_DISPATCH)
         assert dispatch.state is InstanceState.RUNNING
         run_until(engine, records, lambda: case.terminal_tick is not None, start=tick + 1)
         assert case.outcome.value == "served"
@@ -346,45 +358,61 @@ class TestFalseAlarmChain:
 class TestCancellation:
     def test_cancel_is_idempotent_and_frees_agents(self):
         world, _, engine, _ = build(dispatch_delay=0)
-        raise_case(engine, world, 0)
-        dispatch = engine.instances[engine.case_instances[0][ProtocolKind.CARE_DISPATCH]]
+        case = raise_case(engine, world, 0)
+        dispatch = live(engine, case, ProtocolKind.CARE_DISPATCH)
         engine.tick_protocols(1)  # convoy takes one step
-        engine.cancel_protocol(dispatch, 2)
+        engine.cancel_protocol(dispatch)
         assert dispatch.state is InstanceState.CANCELED
         assert dispatch.enrolled == []
         for aid in world.professional_ids + world.ambulance_ids:
             assert world.agents[aid].status is AgentStatus.RETURNING_TO_BASE
         # A second cancellation must not disturb the terminal state.
-        engine.cancel_protocol(dispatch, 3)
+        engine.cancel_protocol(dispatch)
         assert dispatch.state is InstanceState.CANCELED
         engine.audit()
 
     def test_canceled_carer_resumes_walking_immediately(self):
         world, _, engine, _ = build(ic_positions=(Position(6, 6),), dispatch_delay=0)
-        raise_case(engine, world, 0)
-        verify = engine.instances[engine.case_instances[0][ProtocolKind.VERIFY_VISIT]]
+        case = raise_case(engine, world, 0)
+        verify = live(engine, case, ProtocolKind.VERIFY_VISIT)
         engine.tick_protocols(1)
-        engine.cancel_protocol(verify, 2)
+        engine.cancel_protocol(verify)
         carer = world.agents[world.informal_ids[0]]
         assert carer.status is AgentStatus.RANDOM_WALKING
-        assert carer.instance_id is None
 
     def test_finalize_closes_everything(self):
         world, _, engine, _ = build(n_elderly=2, n_pc=1, n_ma=1, dispatch_delay=50)
         case_a = raise_case(engine, world, 0, elderly_index=0)
         case_b = raise_case(engine, world, 1, elderly_index=1)
+        running = live(engine, case_a, ProtocolKind.CARE_DISPATCH)
+        parked = live(engine, case_b, ProtocolKind.CARE_DISPATCH)
         engine.tick_protocols(1)
         engine.finalize(final_tick=1)
         for case in (case_a, case_b):
             assert case.terminal_tick == 1
             assert case.outcome.value == "closed_at_run_end"
-        for instance in engine.instances.values():
-            assert instance.state in (InstanceState.COMPLETED, InstanceState.CANCELED)
-        assert not engine.retry_queue or all(
-            engine.instances[i].state is InstanceState.CANCELED
-            for i in engine.retry_queue
-        )
+        assert running.state is parked.state is InstanceState.CANCELED
+        assert not engine.active
+        assert not engine.retry_queue
         engine.audit()
+
+    def test_engine_keeps_only_live_instances(self):
+        sim = Simulation(ScenarioConfig(scenario=Scenario.DUAL_DETECTOR, n_informal=10))
+        for tick in range(2000):
+            sim.step(tick)
+        gc.collect()
+        engine = sim.engine
+        live = {*engine.active, *engine.retry_queue}
+        kept = live | {instance.partner for instance in live}
+        run_cases = {id(case) for case in sim.cases}
+        held = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, ProtocolInstance) and id(obj.case) in run_cases
+        ]
+        assert len(sim.cases) > 100
+        assert live
+        assert all(instance in kept for instance in held)
 
 
 class TestCostAccrual:
@@ -419,7 +447,7 @@ class TestCostAccrual:
         # a charged tick, and only then confirms the phantom.
         world, ledger, engine, records = build(ic_positions=(Position(0, 0),), dispatch_delay=50)
         case = raise_case(engine, world, 0, true_fall=False, tick=0)
-        verify = engine.instances[engine.case_instances[0][ProtocolKind.VERIFY_VISIT]]
+        verify = live(engine, case, ProtocolKind.VERIFY_VISIT)
         assert verify.enroll_tick == 0
         assert case.terminal_tick is None
         tick, _ = run_until(engine, records, lambda: case.terminal_tick is not None)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fallsim.cli import main
 from fallsim.metrics import CSV_COLUMNS
-from fallsim.scenario import Scenario, ScenarioConfig
+from fallsim.scenario import Scenario, ScenarioConfig, run_simulation
 from fallsim.sweep import (
     DEFAULT_X_VALUES,
     SweepSpec,
@@ -241,6 +241,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FP rate:" in out
         assert "ΣWT/♯:" in out
+
+    def test_run_defaults_are_the_config_defaults(self, capsys):
+        assert main(["run", "--ticks", "300", "--seed", "5"]) == 0
+        report = run_simulation(ScenarioConfig(ticks=300, seed=5))
+        expected = [f"{name}: {value}" for name, value in zip(CSV_COLUMNS, report.csv_row())]
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
