@@ -13,7 +13,7 @@ from typing import Optional
 
 from .metrics import CSV_COLUMNS
 from .scenario import Scenario, ScenarioConfig, run_simulation
-from .sweep import DEFAULT_X_VALUES, SweepSpec, emit_csv, run_sweep, write_outputs
+from .sweep import SweepSpec, emit_csv, run_sweep, write_outputs
 from .world import ConfigurationError, SensorModel, WorldConfig
 
 def _parse_bool(text: str) -> bool:
@@ -75,12 +75,12 @@ def _parse_grid(text: str) -> tuple[int, int]:
         )
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = ScenarioConfig()
+def _add_common_flags(parser: argparse.ArgumentParser, defaults: ScenarioConfig) -> None:
     sensor, world = defaults.sensor, defaults.world
-    parser.add_argument("--scenario", choices=["s1", "s2"], default="s1")
+    parser.add_argument("--scenario", choices=[s.value for s in Scenario],
+                        default=defaults.scenario.value)
     parser.add_argument("--ticks", type=int, default=defaults.ticks)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--p-fall", type=_parse_probability, default=defaults.p_fall)
     parser.add_argument("--p-fn", type=_parse_probability, default=sensor.p_false_negative)
     parser.add_argument("--p-fp", type=_parse_probability, default=sensor.p_false_positive)
@@ -101,19 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fallsim",
         description="Seedable multi-agent telecare fall-response simulator",
     )
+    config, spec = ScenarioConfig(), SweepSpec()
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="run a single experiment cell")
-    _add_common_flags(run_parser)
-    run_parser.add_argument("--ics", type=_parse_count, default=0,
+    _add_common_flags(run_parser, config)
+    run_parser.add_argument("--ics", type=_parse_count, default=config.n_informal,
                             help="informal carer count N")
     run_parser.add_argument("--trace", type=Path, default=None,
                             help="write every engine event as a JSON line")
     sweep_parser = sub.add_parser("sweep", help="run a carer-count sweep with replications")
-    _add_common_flags(sweep_parser)
-    sweep_parser.add_argument("--ics", type=_parse_ics, default=DEFAULT_X_VALUES,
+    _add_common_flags(sweep_parser, spec.base_config)
+    sweep_parser.add_argument("--ics", type=_parse_ics, default=spec.x_values,
                               help="informal carer count N, or a range A..B:STEP")
-    sweep_parser.add_argument("--replications", type=int, default=10)
-    sweep_parser.add_argument("--jobs", type=int, default=1)
+    sweep_parser.add_argument("--replications", type=int, default=spec.replications)
+    sweep_parser.add_argument("--jobs", type=int, default=spec.jobs)
+    sweep_parser.set_defaults(scenario=spec.scenario.value, seed=spec.base_seed)
     return parser
 
 

@@ -1,5 +1,5 @@
 """Tiered coordination engine: protocol readying, role enrollment,
-exception escalation, and cancellation.
+exception escalation, cancellation, and per-leg travel and cost.
 
 The community is organized as three nested circles: each house (resident,
 detectors), the neighbourhood (the houses plus the informal carers, when
@@ -14,7 +14,19 @@ from the neighbourhood to the hospital, which cancels the care dispatch at
 once; the relay and the cancel take the next two instance ids in the trace
 but are never stored. Each instance carries its case and its partner, the
 other protocol of the same alarm. The engine holds only live instances:
-parked ones in the retry queue and running ones in the active set.
+parked ones in the retry queue and running ones under their arrival tick.
+
+Travel is settled once per leg, not once per tick. A leg's path is fixed
+when it starts: a visit's carer, or a dispatch's convoy after
+``dispatch_delay`` mobilization ticks, heads for the house one king-move per
+tick, and a released hospital agent heads back to base the same way. So the
+engine works out each leg's end tick when the leg starts, files the instance
+or the returning agent under that tick, and does nothing for it on any other
+tick. When the leg arrives, is cancelled or the run ends, each agent is
+charged the leg's ticks in one ``add_cost`` call and placed with one
+``step_toward`` call; until then its ``position`` is where the leg began.
+Within a tick, agents reaching base are freed first, then due visits resolve
+in id order, then due convoys in id order, and then parked instances retry.
 """
 from __future__ import annotations
 
@@ -32,6 +44,7 @@ from .world import (
     KeyEnum,
     Position,
     World,
+    chebyshev,
     step_toward,
     travel_time,
 )
@@ -94,8 +107,8 @@ class ProtocolInstance:
     state: InstanceState = InstanceState.READIED
     enrolled: list[int] = field(default_factory=list)
     enroll_tick: int = -1
-    # First tick the enrolled agents are allowed to move.
-    first_move_tick: int = -1
+    # Tick the enrolled agents reach the house, fixed at enrollment.
+    arrival_tick: int = -1
     # The other protocol of the same alarm: a visit's dispatch and back.
     partner: Optional[ProtocolInstance] = None
 
@@ -137,10 +150,14 @@ class FsoEngine:
         self.retry_queue: deque[ProtocolInstance] = deque()
         # Set when an agent becomes enrollable; parked instances wait for it.
         self._freed = False
-        # Hospital agents heading back to base after their instance ended.
-        self.returning: list[AgentState] = []
-        # Running instances.
-        self.active: set[ProtocolInstance] = set()
+        # The tick being resolved, or the last one resolved: a leg cancelled
+        # between ticks has travelled through it.
+        self._now = 0
+        # Running instances, filed under their arrival tick.
+        self._arrivals: dict[int, list[ProtocolInstance]] = {}
+        # Hospital agents heading back to base, each with its release tick,
+        # filed under the tick it reaches base.
+        self._homecomings: dict[int, list[tuple[AgentState, int]]] = {}
         self._next_instance = 0
         # Candidates per role: the hospital staff, and the informal carers of
         # the neighbourhood. No other circle holds any.
@@ -169,6 +186,11 @@ class FsoEngine:
             eid: {kind: (house, *rest) for kind, rest in above_house.items()}
             for house, eid in enumerate(world.elderly_ids, first_house)
         }
+
+    @property
+    def active(self) -> list[ProtocolInstance]:
+        """The running instances, in no particular order."""
+        return [instance for due in self._arrivals.values() for instance in due]
 
     # -- tracing -------------------------------------------------------------
 
@@ -285,32 +307,48 @@ class FsoEngine:
         instance.enrolled = chosen
         instance.enroll_tick = tick
         instance.state = InstanceState.RUNNING
-        delay = self.dispatch_delay if instance.kind is ProtocolKind.CARE_DISPATCH else 0
-        instance.first_move_tick = tick + 1 + delay
-        self.active.add(instance)
+        distance = max(chebyshev(agents[a].position, target) for a in chosen)
+        if distance:
+            instance.arrival_tick = tick + self._delay(instance) + distance
+        else:
+            # Agents already at the house arrive on the next tick, at no cost.
+            instance.arrival_tick = tick + 1
+        self._arrivals.setdefault(instance.arrival_tick, []).append(instance)
         for agent_id in chosen:
             agents[agent_id].status = AgentStatus.ENROLLED_TRAVELING
         return []
 
+    def _delay(self, instance: ProtocolInstance) -> int:
+        """Mobilization ticks before the enrolled agents start to move."""
+        return self.dispatch_delay if instance.kind is ProtocolKind.CARE_DISPATCH else 0
+
     # -- cancellation and release --------------------------------------------
 
-    def cancel_protocol(self, instance: ProtocolInstance) -> None:
+    def cancel_protocol(
+        self, instance: ProtocolInstance, through: Optional[int] = None
+    ) -> None:
         """Abort a non-terminal instance, freeing its agents.
 
-        Carers resume their walk immediately; hospital agents head back to
-        base and become enrollable again on arrival. Terminal instances are
-        left untouched.
+        The enrolled agents are charged and placed for their leg through tick
+        ``through``, by default the tick being resolved. Carers resume their
+        walk immediately; hospital agents head back to base and become
+        enrollable again on arrival. Terminal instances are left untouched.
         """
         if instance.state in TERMINAL_STATES:
             return
         if instance.state is InstanceState.READIED:
             # Outside _launch a readied instance is always parked.
             self.retry_queue.remove(instance)
-        for agent_id in instance.enrolled:
-            self._release(self.world.agents[agent_id])
+        else:
+            # The due list of the tick being resolved is already taken out.
+            due = self._arrivals.get(instance.arrival_tick)
+            if due is not None:
+                due.remove(instance)
+            self._settle(instance, self._now if through is None else through)
+            for agent_id in instance.enrolled:
+                self._release(self.world.agents[agent_id])
         instance.enrolled = []
         instance.state = InstanceState.CANCELED
-        self.active.discard(instance)
 
     def _release(self, agent: AgentState) -> None:
         """Unbind an enrolled carer or hospital agent."""
@@ -320,74 +358,78 @@ class FsoEngine:
             self._free(agent, AgentStatus.IDLE)
         else:
             agent.status = AgentStatus.RETURNING_TO_BASE
-            self.returning.append(agent)
+            home = self._now + chebyshev(agent.position, agent.base)
+            self._homecomings.setdefault(home, []).append((agent, self._now))
 
     def _free(self, agent: AgentState, status: AgentStatus) -> None:
         """Make an agent enrollable again, which lets parked instances retry."""
         agent.status = status
         self._freed = True
 
+    # -- travel --------------------------------------------------------------
+
+    def _settle(self, instance: ProtocolInstance, through: int) -> None:
+        """Charge and place the enrolled agents for their leg through a tick.
+
+        While any of them is away from the house, every agent is charged each
+        tick after enrollment, mobilization included, and moves one cell per
+        tick once the delay is over. Agents that start at the house cost
+        nothing.
+        """
+        agents = [self.world.agents[a] for a in instance.enrolled]
+        target = instance.target
+        ticks = through - instance.enroll_tick
+        if ticks <= 0 or all(agent.position == target for agent in agents):
+            return
+        moves = ticks - self._delay(instance)
+        for agent in agents:
+            self.ledger.add_cost(agent.kind, ticks)
+            if moves > 0:
+                step_toward(agent, target, moves)
+
+    def _go_home(self, agent: AgentState, ticks: int) -> None:
+        """Charge and place a returning agent for ``ticks`` ticks of its way back."""
+        if self.count_return_travel:
+            self.ledger.add_cost(agent.kind, ticks)
+        step_toward(agent, agent.base, ticks)
+
     # -- per-tick driving ----------------------------------------------------
 
     def tick_protocols(self, tick: int) -> None:
-        """Advance travel, resolve arrivals, and retry parked enrollments."""
-        self._advance_returning()
-        # Verification visits resolve before the convoy on ties, so a carer
-        # reaching the house the same tick as the ambulance does the check.
-        active = sorted(self.active, key=_by_id)
-        for instance in active:
-            if instance.kind is ProtocolKind.VERIFY_VISIT:
-                self._advance_instance(instance, tick)
-        for instance in active:
-            if instance.kind is ProtocolKind.CARE_DISPATCH:
-                self._advance_instance(instance, tick)
-        self._retry_parked(tick)
+        """Free agents reaching base, resolve due arrivals, retry parked ones.
 
-    def _advance_returning(self) -> None:
-        still: list[AgentState] = []
-        for agent in self.returning:
-            if self.count_return_travel:
-                self.ledger.add_cost(agent.kind)
-            step_toward(agent, agent.base)
-            if agent.position == agent.base:
-                self._free(agent, AgentStatus.IDLE)
-            else:
-                still.append(agent)
-        self.returning = still
-
-    def _advance_instance(self, instance: ProtocolInstance, tick: int) -> None:
-        """Charge and move the enrolled agents; on arrival run the handler.
-
-        Agents already at the target arrive without cost, and an instance
-        arrives on the step that brings its last agent there.
+        Call it once for every tick, in order: a leg is looked at only on
+        its end tick.
         """
-        if instance.state is not InstanceState.RUNNING or tick <= instance.enroll_tick:
-            return
-        agents = [self.world.agents[a] for a in instance.enrolled]
-        target = instance.target
-        if any(a.position != target for a in agents):
-            # Mobilization ticks before departure still occupy the crew.
-            for agent in agents:
-                self.ledger.add_cost(agent.kind)
-            if tick < instance.first_move_tick:
-                return
-            for agent in agents:
-                step_toward(agent, target)
-            if any(a.position != target for a in agents):
-                return
-        if instance.kind is ProtocolKind.VERIFY_VISIT:
-            self._on_verifier_arrival(instance, tick)
-        else:
-            self._on_convoy_arrival(instance, tick)
+        self._now = tick
+        for agent, released in self._homecomings.pop(tick, ()):
+            self._go_home(agent, tick - released)
+            self._free(agent, AgentStatus.IDLE)
+        due = self._arrivals.pop(tick, None)
+        if due:
+            due.sort(key=_by_id)
+            # Verification visits resolve before the convoy on ties, so a
+            # carer reaching the house the same tick as the ambulance does
+            # the check; a false alarm then cancels the convoy.
+            for instance in due:
+                if instance.kind is ProtocolKind.VERIFY_VISIT:
+                    self._on_verifier_arrival(instance, tick)
+            for instance in due:
+                if (
+                    instance.kind is ProtocolKind.CARE_DISPATCH
+                    and instance.state is InstanceState.RUNNING
+                ):
+                    self._on_convoy_arrival(instance, tick)
+        self._retry_parked(tick)
 
     def _on_verifier_arrival(self, instance: ProtocolInstance, tick: int) -> None:
         case = instance.case
         carer = self.world.agents[instance.enrolled[0]]
+        self._settle(instance, tick)
         self.ledger.v_informal += 1
         self._record_waiting(case, tick)
         instance.state = InstanceState.COMPLETED
         instance.enrolled = []
-        self.active.discard(instance)
         self._release(carer)
         if case.true_fall:
             self._emit(EventKind.FALL_CONFIRMED, carer.id, case.case_id, tick)
@@ -407,7 +449,9 @@ class FsoEngine:
         )
         self._next_instance += 2
         dispatch = instance.partner
-        self.cancel_protocol(dispatch)
+        # Convoys resolve after visits, so this one has moved through the
+        # previous tick only.
+        self.cancel_protocol(dispatch, through=tick - 1)
         self._close_case(case, CaseOutcome.CANCELED, tick)
         self._emit(
             EventKind.DISPATCH_CANCELED,
@@ -419,6 +463,7 @@ class FsoEngine:
 
     def _on_convoy_arrival(self, instance: ProtocolInstance, tick: int) -> None:
         case = instance.case
+        self._settle(instance, tick)
         if case.true_fall:
             self.ledger.interventions += 1
         else:
@@ -437,7 +482,6 @@ class FsoEngine:
             self._release(self.world.agents[agent_id])
         instance.enrolled = []
         instance.state = InstanceState.COMPLETED
-        self.active.discard(instance)
         self._close_case(case, CaseOutcome.SERVED, tick)
 
     def _retry_parked(self, tick: int) -> None:
@@ -474,12 +518,19 @@ class FsoEngine:
         """Cancel every live instance and close its case if still open.
 
         A case stays open only while its dispatch is live, so this closes
-        every open case.
+        every open case. Agents still on their way back to base are charged
+        and placed for the part of the way they covered by ``final_tick``.
         """
+        self._now = final_tick
         for instance in sorted([*self.active, *self.retry_queue], key=_by_id):
             self.cancel_protocol(instance)
             if instance.case.terminal_tick is None:
                 self._close_case(instance.case, CaseOutcome.CLOSED_AT_RUN_END, final_tick)
+        for homecoming in self._homecomings.values():
+            for agent, released in homecoming:
+                if final_tick > released:
+                    self._go_home(agent, final_tick - released)
+        self._homecomings.clear()
 
     # -- invariant audit -----------------------------------------------------
 
@@ -493,6 +544,10 @@ class FsoEngine:
         for instance in self.active:
             assert instance.state is InstanceState.RUNNING, (
                 f"active instance {instance.instance_id} is not running"
+            )
+            assert instance.arrival_tick > self._now, (
+                f"instance {instance.instance_id} is due at {instance.arrival_tick}, "
+                f"after tick {self._now} was resolved"
             )
             roles = REQUIRED_ROLES[instance.kind]
             assert len(instance.enrolled) == len(roles), (

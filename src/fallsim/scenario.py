@@ -91,23 +91,32 @@ class Simulation:
         self.rng = Random(config.seed)
         self.counters = ConfusionCounters()
         self.ledger = CostLedger()
-        self.trace_sink: Optional[Callable[[dict], None]] = None
         self.engine = FsoEngine(
             self.world,
             self.ledger,
             dispatch_delay=config.dispatch_delay,
             count_return_travel=config.count_return_travel,
-            trace=self._trace,
         )
+        self.trace_sink = None
         self.cases: list[CaseRecord] = []
         self._device_of: dict[int, int] = {}
         for did in self.world.device_ids:
             self._device_of.setdefault(self.world.agents[did].watches, did)
         self._informal_agents = [self.world.agents[i] for i in self.world.informal_ids]
 
+    @property
+    def trace_sink(self) -> Optional[Callable[[dict], None]]:
+        """Receiver of the engine's trace records, or None for an untraced run."""
+        return self._trace_sink
+
+    @trace_sink.setter
+    def trace_sink(self, sink: Optional[Callable[[dict], None]]) -> None:
+        # Without a sink the engine gets no callback, so it builds no records.
+        self._trace_sink = sink
+        self.engine.trace = None if sink is None else self._trace
+
     def _trace(self, record: dict) -> None:
-        if self.trace_sink is not None:
-            self.trace_sink(record)
+        self._trace_sink(record)
 
     # -- sensing -------------------------------------------------------------
 

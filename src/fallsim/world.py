@@ -218,21 +218,22 @@ class World:
         )
 
 
-def _sign(v: int) -> int:
-    return (v > 0) - (v < 0)
+def step_toward(agent: AgentState, target: Position, steps: int = 1) -> None:
+    """Advance a mobile agent ``steps`` king-moves toward target (in place).
 
-
-def step_toward(agent: AgentState, target: Position) -> None:
-    """Advance a mobile agent one king-move toward target (in place).
-
-    Only the position changes; the caller decides what reaching the target
-    means.
+    Each axis moves ``min(steps, |distance|)`` cells toward the target, so one
+    call lands where ``steps`` single steps would. Only the position changes;
+    the caller decides what reaching the target means.
     """
     if agent.kind not in MOBILE_KINDS:
         raise ValueError(f"agent {agent.id} of kind {agent.kind.value} cannot move")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     p = agent.position
-    if p != target:
-        agent.position = Position(p.x + _sign(target.x - p.x), p.y + _sign(target.y - p.y))
+    agent.position = Position(
+        p.x + max(-steps, min(steps, target.x - p.x)),
+        p.y + max(-steps, min(steps, target.y - p.y)),
+    )
 
 
 _DIRS8 = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))

@@ -463,6 +463,59 @@ class TestCostAccrual:
         run_until(engine, records, lambda: case.terminal_tick is not None)
         assert ledger.sc(AgentKind.INFORMAL_CARER) == 4
 
+    def test_convoy_cancelled_by_false_alarm_moved_through_previous_tick(self):
+        # The carer 3 cells out confirms the phantom at tick 3. Visits resolve
+        # before convoys, so the convoy has moved through tick 2 only: two
+        # cells from the hospital at (8,0), two ticks each, then two back.
+        world, ledger, engine, records = build(ic_positions=(Position(3, 0),))
+        case = raise_case(engine, world, 0, true_fall=False, tick=0)
+        tick, _ = run_until(engine, records, lambda: case.terminal_tick is not None)
+        assert tick == 3
+        crew = [world.agents[a] for a in world.professional_ids + world.ambulance_ids]
+        for agent in crew:
+            assert agent.position == Position(6, 0)
+            assert agent.status is AgentStatus.RETURNING_TO_BASE
+        assert ledger.sc(AgentKind.AMBULANCE) == ledger.sc(AgentKind.PROFESSIONAL_CARER) == 2
+        assert ledger.sc(AgentKind.INFORMAL_CARER) == 3
+        back, _ = run_until(
+            engine, records, lambda: crew[0].status is AgentStatus.IDLE, start=tick + 1
+        )
+        assert back == 5
+        assert all(agent.position == HOSPITAL for agent in crew)
+        assert ledger.sc(AgentKind.AMBULANCE) == 4
+
+    def test_visit_cancelled_by_convoy_arrival_moved_through_that_tick(self):
+        # The convoy reaches house 1 at (0,4) at tick 8; the carer, 12 cells
+        # out at (-8,-8), has moved 8 diagonal cells by then.
+        world, ledger, engine, records = build(
+            n_elderly=2, ic_positions=(Position(-8, -8),)
+        )
+        case = raise_case(engine, world, 0, elderly_index=1, true_fall=True, tick=0)
+        tick, _ = run_until(engine, records, lambda: case.terminal_tick is not None)
+        assert tick == 8
+        carer = world.agents[world.informal_ids[0]]
+        assert carer.position == Position(0, 0)
+        assert carer.status is AgentStatus.RANDOM_WALKING
+        assert ledger.sc(AgentKind.INFORMAL_CARER) == 8
+        assert ledger.sc(AgentKind.AMBULANCE) == 8
+        assert ledger.v_informal == 0
+
+    @pytest.mark.parametrize("count_return_travel", [True, False])
+    def test_finalize_charges_the_covered_part_of_a_return(self, count_return_travel):
+        # Arrive at tick 8, head back from the house, stop at tick 11.
+        world, ledger, engine, records = build(count_return_travel=count_return_travel)
+        case = raise_case(engine, world, 0, true_fall=True, tick=0)
+        run_until(engine, records, lambda: case.terminal_tick is not None)
+        for tick in range(9, 12):
+            engine.tick_protocols(tick)
+        engine.finalize(final_tick=11)
+        engine.audit()
+        for aid in world.professional_ids + world.ambulance_ids:
+            agent = world.agents[aid]
+            assert agent.position == Position(3, 0)
+            assert agent.status is AgentStatus.RETURNING_TO_BASE
+        assert ledger.sc(AgentKind.AMBULANCE) == (8 + 3 if count_return_travel else 8)
+
     def test_waiting_time_recorded_once(self):
         world, ledger, engine, records = build(ic_positions=(Position(2, 0),), dispatch_delay=0)
         case = raise_case(engine, world, 0, true_fall=True, tick=0)

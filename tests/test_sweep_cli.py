@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fallsim.cli import main
+from fallsim.cli import build_parser, main
 from fallsim.metrics import CSV_COLUMNS
 from fallsim.scenario import Scenario, ScenarioConfig, run_simulation
 from fallsim.sweep import (
@@ -247,6 +247,18 @@ class TestCli:
         report = run_simulation(ScenarioConfig(ticks=300, seed=5))
         expected = [f"{name}: {value}" for name, value in zip(CSV_COLUMNS, report.csv_row())]
         assert capsys.readouterr().out.splitlines() == expected
+
+    def test_parser_defaults_are_the_dataclass_defaults(self):
+        parser = build_parser()
+        config, spec = ScenarioConfig(), SweepSpec()
+        run = parser.parse_args(["run"])
+        assert (run.scenario, run.seed, run.ics) == (
+            config.scenario.value, config.seed, config.n_informal
+        )
+        sweep = parser.parse_args(["sweep"])
+        assert (sweep.scenario, sweep.seed, sweep.ics, sweep.replications, sweep.jobs) == (
+            spec.scenario.value, spec.base_seed, spec.x_values, spec.replications, spec.jobs
+        )
 
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

@@ -168,6 +168,19 @@ class TestStepToward:
         assert chebyshev(agent.position, a) <= 1
         assert chebyshev(agent.position, b) == max(chebyshev(a, b) - 1, 0)
 
+    @given(a=positions, b=positions, k=st.integers(min_value=0, max_value=40))
+    @settings(max_examples=100)
+    def test_k_steps_at_once_equal_k_single_steps(self, a, b, k):
+        at_once, one_by_one = _carer(a), _carer(a)
+        step_toward(at_once, b, k)
+        for _ in range(k):
+            step_toward(one_by_one, b)
+        assert at_once.position == one_by_one.position
+
+    def test_negative_steps_are_refused(self):
+        with pytest.raises(ValueError):
+            step_toward(_carer(Position(0, 0)), Position(3, 3), -1)
+
 
 class TestRandomWalk:
     def test_stays_in_bounds_from_corner(self):
