@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from .fso import trace_line
 from .metrics import CSV_COLUMNS
 from .scenario import Scenario, ScenarioConfig, run_simulation
 from .sweep import SweepSpec, emit_csv, run_sweep, write_outputs
@@ -173,7 +174,7 @@ def _trace_sink(path: Optional[Path]):
     fh = path.open("w", encoding="utf-8")
 
     def sink(record: dict) -> None:
-        fh.write(json.dumps(record) + "\n")
+        fh.write(trace_line(record))
 
     return sink, fh
 

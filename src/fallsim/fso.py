@@ -9,12 +9,16 @@ a care-dispatch protocol (professional + ambulance) and, when informal
 carers exist, a verification visit. Each role has candidates in one circle
 only, so every protocol climbs a fixed ladder of coordinators within the
 same tick: each rung below the last reports all its roles missing, and the
-last rung enrolls or parks the instance. A confirmed false alarm is relayed
-from the neighbourhood to the hospital, which cancels the care dispatch at
-once; the relay and the cancel take the next two instance ids in the trace
-but are never stored. Each instance carries its case and its partner, the
-other protocol of the same alarm. The engine holds only live instances:
-parked ones in the retry queue and running ones under their arrival tick.
+last rung enrolls or parks the instance. A hospital role takes the lowest
+idle id of its kind, kept in one id heap per kind: idle hospital agents all
+stand at the hospital, so they tie on travel time. A carer role takes the
+nearest walking carer by travel time, then the lowest id. A confirmed false
+alarm is relayed from the neighbourhood to the hospital, which cancels the
+care dispatch at once; the relay and the cancel take the next two instance
+ids in the trace but are never stored. Each instance carries its case and
+its partner, the other protocol of the same alarm. The engine holds only
+live instances: parked ones in the retry queue and running ones under their
+arrival tick.
 
 Travel is settled once per leg, not once per tick. A leg's path is fixed
 when it starts: a visit's carer, or a dispatch's convoy after
@@ -33,6 +37,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
@@ -46,7 +51,6 @@ from .world import (
     World,
     chebyshev,
     step_toward,
-    travel_time,
 )
 
 
@@ -122,6 +126,23 @@ class CaseOutcome(Enum):
     CLOSED_AT_RUN_END = "closed_at_run_end"
 
 
+def trace_line(record: dict) -> str:
+    """One trace record of :meth:`FsoEngine._emit` as its JSONL line.
+
+    The line equals ``json.dumps(record) + "\\n"`` byte for byte. The keys are
+    fixed, ``instance`` is an int or None, the other numbers are ints, and
+    the event and missing roles are enum values that need no escaping.
+    """
+    instance, missing = record["instance"], record["missing"]
+    roles = '["' + '", "'.join(missing) + '"]' if missing else "[]"
+    return (
+        f'{{"tick": {record["tick"]}, "case": {record["case"]}, '
+        f'"event": "{record["event"]}", "agent": {record["agent"]}, '
+        f'"instance": {"null" if instance is None else instance}, '
+        f'"missing": {roles}}}\n'
+    )
+
+
 class FsoEngine:
     """Deterministic driver of the coordination protocols for one simulation run.
 
@@ -159,13 +180,17 @@ class FsoEngine:
         # filed under the tick it reaches base.
         self._homecomings: dict[int, list[tuple[AgentState, int]]] = {}
         self._next_instance = 0
-        # Candidates per role: the hospital staff, and the informal carers of
-        # the neighbourhood. No other circle holds any.
-        self._role_candidates: dict[Role, list[int]] = {
-            Role.NEED_PROFESSIONAL: list(world.professional_ids),
-            Role.NEED_AMBULANCE: list(world.ambulance_ids),
-            Role.NEED_INFORMAL: list(world.informal_ids),
+        # Candidates: the hospital staff, and the informal carers of the
+        # neighbourhood. No other circle holds any. The idle hospital agents
+        # are id heaps, one per kind; all start idle, and an ascending id
+        # list is a heap.
+        self._professionals = list(world.professional_ids)
+        self._ambulances = list(world.ambulance_ids)
+        self._idle = {
+            AgentKind.PROFESSIONAL_CARER: self._professionals,
+            AgentKind.AMBULANCE: self._ambulances,
         }
+        self._carers = [world.agents[i] for i in world.informal_ids]
         # A coordinator is only an id that names its circle in the trace.
         # Ids follow the roster: the hospital, the neighbourhood (only with
         # carers), then one per house in resident order.
@@ -203,6 +228,7 @@ class FsoEngine:
         missing: Sequence[Role] = (),
         instance: Optional[int] = None,
     ) -> None:
+        # The record's keys and value types are what trace_line formats.
         if self.trace is not None:
             self.trace(
                 {
@@ -274,36 +300,29 @@ class FsoEngine:
     def try_enroll(self, instance: ProtocolInstance, tick: int) -> list[Role]:
         """Bind every required role or report the missing ones.
 
-        Selection per role: nearest free candidate by travel time to the
-        resident's house, ties broken by lowest agent id. Informal carers are
-        free while they walk, everyone else while idle. Nothing is bound
-        unless every role can be filled.
+        A hospital role takes the lowest idle id of its kind; every idle
+        hospital agent stands at the hospital, so a travel-time ranking
+        would tie. A carer role takes the nearest walking carer by travel
+        time to the resident's house, ties broken by lowest id. Nothing is
+        bound unless every role can be filled; the missing roles come in
+        ``REQUIRED_ROLES`` order.
         """
         if instance.state in TERMINAL_STATES:
             raise ValueError("cannot enroll a terminal protocol instance")
-        agents = self.world.agents
         target = instance.target
-        speed = self.world.config.speed
-        chosen: list[int] = []
-        missing: list[Role] = []
-        for role in REQUIRED_ROLES[instance.kind]:
-            free = AgentStatus.RANDOM_WALKING if role is Role.NEED_INFORMAL else AgentStatus.IDLE
-            best: Optional[AgentState] = None
-            best_key: tuple[int, int] = (0, 0)
-            for member_id in self._role_candidates[role]:
-                agent = agents[member_id]
-                if agent.status is not free or member_id in chosen:
-                    continue
-                key = (travel_time(agent.position, target, speed), agent.id)
-                if best is None or key < best_key:
-                    best, best_key = agent, key
-            if best is None:
-                missing.append(role)
-            else:
-                chosen.append(best.id)
-        if missing:
-            return missing
+        if instance.kind is ProtocolKind.CARE_DISPATCH:
+            professionals, ambulances = self._professionals, self._ambulances
+            if not (professionals and ambulances):
+                pools = zip(REQUIRED_ROLES[instance.kind], (professionals, ambulances))
+                return [role for role, pool in pools if not pool]
+            chosen = [heappop(professionals), heappop(ambulances)]
+        else:
+            carer = self._nearest_walking_carer(target)
+            if carer is None:
+                return [Role.NEED_INFORMAL]
+            chosen = [carer.id]
 
+        agents = self.world.agents
         instance.enrolled = chosen
         instance.enroll_tick = tick
         instance.state = InstanceState.RUNNING
@@ -317,6 +336,22 @@ class FsoEngine:
         for agent_id in chosen:
             agents[agent_id].status = AgentStatus.ENROLLED_TRAVELING
         return []
+
+    def _nearest_walking_carer(self, target: Position) -> Optional[AgentState]:
+        """The walking carer with the fewest travel ticks to target, then lowest id."""
+        speed = self.world.config.speed
+        walking = AgentStatus.RANDOM_WALKING
+        tx, ty = target
+        best: Optional[AgentState] = None
+        best_ticks = 0
+        # Carers are in id order, so a strict improvement keeps the lowest id.
+        for carer in self._carers:
+            if carer.status is walking:
+                x, y = carer.position
+                ticks = -(-max(abs(x - tx), abs(y - ty)) // speed)
+                if best is None or ticks < best_ticks:
+                    best, best_ticks = carer, ticks
+        return best
 
     def _delay(self, instance: ProtocolInstance) -> int:
         """Mobilization ticks before the enrolled agents start to move."""
@@ -364,6 +399,8 @@ class FsoEngine:
     def _free(self, agent: AgentState, status: AgentStatus) -> None:
         """Make an agent enrollable again, which lets parked instances retry."""
         agent.status = status
+        if status is AgentStatus.IDLE:
+            heappush(self._idle[agent.kind], agent.id)
         self._freed = True
 
     # -- travel --------------------------------------------------------------
@@ -420,7 +457,8 @@ class FsoEngine:
                     and instance.state is InstanceState.RUNNING
                 ):
                     self._on_convoy_arrival(instance, tick)
-        self._retry_parked(tick)
+        if self._freed:
+            self._retry_parked(tick)
 
     def _on_verifier_arrival(self, instance: ProtocolInstance, tick: int) -> None:
         case = instance.case
@@ -485,15 +523,13 @@ class FsoEngine:
         self._close_case(case, CaseOutcome.SERVED, tick)
 
     def _retry_parked(self, tick: int) -> None:
-        """Retry parked instances in FIFO order once an agent has been freed.
+        """Retry parked instances in FIFO order; called once an agent is freed.
 
         A parked instance failed because some role had no free candidate,
         and no candidate becomes free except where ``_freed`` is set. A
         retry skipped in between would have failed, and a failed retry
         emits nothing and keeps the queue order.
         """
-        if not self._freed:
-            return
         self._freed = False
         pending = len(self.retry_queue)
         for _ in range(pending):
@@ -567,3 +603,13 @@ class FsoEngine:
                 f"agent {agent.id} is {agent.status.value} but bound to {bound.get(agent.id)}"
             )
             assert self.world.in_bounds(agent.position), f"agent {agent.id} out of bounds"
+        for kind, pool in self._idle.items():
+            idle = [
+                agent.id
+                for agent in self.world.agents.values()
+                if agent.kind is kind and agent.status is AgentStatus.IDLE
+            ]
+            assert sorted(pool) == idle, f"idle {kind.value} pool {sorted(pool)}, idle {idle}"
+            for agent_id in pool:
+                agent = self.world.agents[agent_id]
+                assert agent.position == agent.base, f"idle agent {agent_id} is off base"

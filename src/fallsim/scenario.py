@@ -102,6 +102,7 @@ class Simulation:
         self._device_of: dict[int, int] = {}
         for did in self.world.device_ids:
             self._device_of.setdefault(self.world.agents[did].watches, did)
+        self._residents = [self.world.agents[i] for i in self.world.elderly_ids]
         self._informal_agents = [self.world.agents[i] for i in self.world.informal_ids]
 
     @property
@@ -147,15 +148,15 @@ class Simulation:
         outcome. A missed fall counts as FN, a quiet tick as TN; an alarm
         raises a case, counted as TP or FP.
         """
-        agents = self.world.agents
         rand = self.rng.random
         p_fall = self.config.p_fall
         p_fn = self.config.sensor.p_false_negative
         p_fp = self.config.sensor.p_false_positive
         dual = self.config.scenario is Scenario.DUAL_DETECTOR
         counters = self.counters
-        for eid in self.world.elderly_ids:
-            if agents[eid].pending_case is not None:
+        quiet = 0
+        for resident in self._residents:
+            if resident.pending_case is not None:
                 continue
             if rand() < p_fall:
                 if dual:
@@ -165,16 +166,17 @@ class Simulation:
                 if missed:
                     counters.fn += 1
                 else:
-                    self._raise_case(eid, True, tick)
+                    self._raise_case(resident.id, True, tick)
             else:
                 if dual:
                     phantom = (rand() < p_fp) | (rand() < p_fp)
                 else:
                     phantom = rand() < p_fp
                 if phantom:
-                    self._raise_case(eid, False, tick)
+                    self._raise_case(resident.id, False, tick)
                 else:
-                    counters.tn += 1
+                    quiet += 1
+        counters.tn += quiet
 
     # -- driving -------------------------------------------------------------
 

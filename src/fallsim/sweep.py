@@ -10,7 +10,6 @@ import csv
 import hashlib
 import json
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -105,6 +104,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # there are cells.
     workers = min(spec.jobs, len(configs))
     if workers > 1:
+        # Imported here so a serial run never loads the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(run_simulation, configs))
     else:

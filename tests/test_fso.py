@@ -219,6 +219,41 @@ class TestEnrollment:
         pc = world.agents[world.professional_ids[0]]
         assert pc.status is AgentStatus.IDLE
 
+    def test_dispatch_binds_the_lowest_idle_ids(self):
+        world, _, engine, _ = build(n_elderly=3, n_pc=2, n_ma=2, dispatch_delay=50)
+        cases = [raise_case(engine, world, i, elderly_index=i) for i in range(3)]
+        dispatches = [live(engine, case, ProtocolKind.CARE_DISPATCH) for case in cases]
+        pcs, mas = world.professional_ids, world.ambulance_ids
+        assert [d.enrolled for d in dispatches[:2]] == [[p, m] for p, m in zip(pcs, mas)]
+        assert dispatches[2].state is InstanceState.READIED
+        # Still mobilizing, so both crews are at base and idle at once; the
+        # higher ids are freed first.
+        engine.cancel_protocol(dispatches[1])
+        engine.cancel_protocol(dispatches[0])
+        engine.audit()
+        engine.tick_protocols(1)
+        engine.audit()
+        assert dispatches[2].enrolled == [pcs[0], mas[0]]
+        assert world.agents[pcs[1]].status is AgentStatus.IDLE
+        assert world.agents[mas[1]].status is AgentStatus.IDLE
+
+    def test_empty_pool_is_reported_and_the_other_is_untouched(self):
+        world, _, engine, records = build(n_elderly=2, n_pc=2, n_ma=1)
+        raise_case(engine, world, 0, elderly_index=0)
+        case = raise_case(engine, world, 1, elderly_index=1)
+        parked = live(engine, case, ProtocolKind.CARE_DISPATCH)
+        assert records[-1]["missing"] == [Role.NEED_AMBULANCE.value]
+        assert engine.try_enroll(parked, 1) == [Role.NEED_AMBULANCE]
+        spare = world.agents[world.professional_ids[1]]
+        assert spare.status is AgentStatus.IDLE
+        engine.audit()
+
+    def test_audit_checks_the_idle_pools(self):
+        world, _, engine, _ = build(n_pc=2)
+        engine._professionals.append(world.professional_ids[0])
+        with pytest.raises(AssertionError, match="pool"):
+            engine.audit()
+
     def test_terminal_instance_cannot_reenroll(self):
         world, _, engine, _ = build()
         case = raise_case(engine, world, 0)

@@ -25,6 +25,18 @@ class ScriptedRng:
         return self._draws.pop(0)
 
 
+class CountingRng:
+    """Passes draws through from a real generator and counts them."""
+
+    def __init__(self, rng):
+        self._random = rng.random
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self._random()
+
+
 SENSOR = SensorModel(p_false_negative=1 / 5, p_false_positive=1 / 500)
 
 #: 24 houses and the hospital fill a 5x5 grid, and a convoy is free for every
@@ -117,6 +129,40 @@ class TestDetectorComposition:
         # decided the outcome, keeping the stream layout fixed.
         _, rng = sense_once(Scenario.DUAL_DETECTOR, [0.0, 0.9, 0.1, 0.42])
         assert rng.random() == 0.42
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_each_tossed_resident_takes_one_draw_per_detector_and_one(self, scenario):
+        # Whatever each toss decides, a tick with k of n residents pending
+        # takes (n - k) * (1 + detectors) draws, so the stream layout does
+        # not depend on outcomes.
+        n = QUICK_TURNAROUND.n_elderly
+        sim = Simulation(
+            small_config(
+                scenario,
+                p_fall=0.5,
+                sensor=SensorModel(p_false_negative=0.5, p_false_positive=0.5),
+                world=QUICK_TURNAROUND,
+                dispatch_delay=0,
+            )
+        )
+        sim.rng = CountingRng(sim.rng)
+        per_toss = 1 + scenario.detectors_per_elderly
+        seen_pending = set()
+        for tick in range(60):
+            # Resolving arrivals takes no draws and makes residents tossable again.
+            sim.engine.tick_protocols(tick)
+            pending = sum(
+                sim.world.agents[eid].pending_case is not None
+                for eid in sim.world.elderly_ids
+            )
+            seen_pending.add(pending)
+            before = sim.rng.draws
+            sim.sense_tick(tick)
+            assert sim.rng.draws - before == (n - pending) * per_toss
+        # The rates make every branch likely; check that the run took them.
+        assert any(0 < k < n for k in seen_pending)
+        c = sim.counters
+        assert min(c.tp, c.fp, c.fn, c.tn) > 0
 
     def test_monte_carlo_alarm_probability(self):
         """Per-fall alarm rate: 1 - pFN (single), 1 - pFN^2 (dual).

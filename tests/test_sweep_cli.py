@@ -1,6 +1,8 @@
 """Sweep harness, CSV/JSON emission, and the command-line front end."""
 import csv
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fallsim.cli import build_parser, main
+from fallsim.fso import EventKind, Role, trace_line
 from fallsim.metrics import CSV_COLUMNS
 from fallsim.scenario import Scenario, ScenarioConfig, run_simulation
 from fallsim.sweep import (
@@ -195,13 +198,31 @@ class TestRunSweep:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr("fallsim.sweep.ProcessPoolExecutor", FakePool)
+        # run_sweep imports the pool class when it needs one.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         two_cells = run_sweep(tiny_spec(replications=1, jobs=8))
         assert sizes == [2]
         assert len(two_cells.reports) == 2
         one_cell = run_sweep(tiny_spec(x_values=(0,), replications=1, jobs=8))
         assert sizes == [2]
         assert len(one_cell.reports) == 1
+
+    def test_serial_use_never_imports_the_pool(self):
+        # A fresh interpreter, because this one may have run a pool already.
+        probe = (
+            "import sys\n"
+            "def pools():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+            "import fallsim\n"
+            "print(pools())\n"
+            "import fallsim.cli\n"
+            "print(pools())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines() == ["[]", "[]"]
 
 
 class TestEmission:
@@ -289,6 +310,35 @@ class TestCli:
         assert lines
         record = json.loads(lines[0])
         assert record["event"] == "fall_detected"
+
+    @pytest.mark.parametrize(
+        "scenario, ics, seed",
+        [("s1", 0, 4), ("s2", 0, 5), ("s1", 8, 6), ("s2", 8, 7)],
+    )
+    def test_trace_lines_equal_json_dumps(self, tmp_path, scenario, ics, seed):
+        # X=0 parks dispatches; X>0 adds visits, relays and cancels.
+        records = []
+        config = ScenarioConfig(
+            scenario=Scenario(scenario), n_informal=ics, ticks=3_000, seed=seed
+        )
+        run_simulation(config, trace_sink=records.append)
+        expected = [json.dumps(record) + "\n" for record in records]
+        assert [trace_line(record) for record in records] == expected
+        events = {record["event"] for record in records}
+        assert any(len(record["missing"]) == 2 for record in records)
+        if ics:
+            assert {EventKind.DISPATCH_CANCELED.value, EventKind.FALL_CONFIRMED.value} <= events
+            assert any(
+                record["missing"] == [Role.NEED_TOP_COORDINATOR.value] for record in records
+            )
+        else:
+            # Some dispatch found the hospital empty and parked.
+            assert any(record["tick"] > 0 and record["missing"] for record in records)
+        trace = tmp_path / "trace.jsonl"
+        argv = ["run", "--scenario", scenario, "--ics", str(ics), "--ticks", "3000",
+                "--seed", str(seed), "--trace", str(trace)]
+        assert main(argv) == 0
+        assert trace.read_bytes() == "".join(expected).encode()
 
     @pytest.mark.parametrize(
         "argv",
