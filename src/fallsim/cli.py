@@ -132,7 +132,7 @@ def _apply_config_file(
         return args
     try:
         data = json.loads(args.config.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")

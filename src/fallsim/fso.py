@@ -89,13 +89,18 @@ class InstanceState(KeyEnum):
 TERMINAL_STATES = frozenset({InstanceState.COMPLETED, InstanceState.CANCELED})
 
 
-class EventKind(Enum):
+class EventKind(KeyEnum):
     FALL_DETECTED = "fall_detected"
     FALL_CONFIRMED = "fall_confirmed"
     FALSE_POSITIVE_CONFIRMED = "false_positive_confirmed"
     ROLE_EXCEPTION = "role_exception"
     CARE_ARRIVED = "care_arrived"
     DISPATCH_CANCELED = "dispatch_canceled"
+
+
+#: The trace string of each event kind and role, read once here: every
+#: ``.value`` read is a Python-level call.
+_TRACE_NAME = {member: member.value for enum in (EventKind, Role) for member in enum}
 
 
 @dataclass(slots=True, eq=False)
@@ -234,10 +239,10 @@ class FsoEngine:
                 {
                     "tick": tick,
                     "case": case,
-                    "event": kind.value,
+                    "event": _TRACE_NAME[kind],
                     "agent": agent,
                     "instance": instance,
-                    "missing": [r.value for r in missing],
+                    "missing": [_TRACE_NAME[r] for r in missing],
                 }
             )
 

@@ -1,7 +1,8 @@
 """Confusion counters, cost/wait ledgers, and the derived report figures.
 
-All derived figures are pure functions of the raw counters so a report can be
-recomputed (and is recomputed idempotently) from the ledgers at any time.
+A report keeps only a run's raw counters and ledgers. Every derived figure
+is a pure function of them, computed each time the report is read, and one
+table, ``REPORT_COLUMNS``, fixes the row of the reference tables.
 """
 from __future__ import annotations
 
@@ -130,112 +131,59 @@ class CostLedger:
         return self.sc_by_kind.get(kind, 0)
 
 
+def _safe(fn, *args) -> Optional[float]:
+    """The figure, or None where its denominator is empty."""
+    try:
+        return fn(*args)
+    except UndefinedMetricError:
+        return None
+
+
+#: The report row, one column of the reference tables per entry: its header,
+#: the :meth:`MetricsReport.to_dict` key it shows and that figure's display
+#: format. An undefined figure (None) shows as "".
+REPORT_COLUMNS = (
+    ("FP", "fp", str),
+    ("FN", "fn", str),
+    ("TP", "tp", str),
+    ("TN", "tn", str),
+    ("Avg. FP/tick", "avg_fp_per_tick", fmt_rate),
+    ("Avg. FN/tick", "avg_fn_per_tick", fmt_rate),
+    ("FP rate", "fp_rate", fmt_rate),
+    ("FN rate", "fn_rate", fmt_rate_rounded),
+    ("Sensitivity", "sensitivity", fmt_percent),
+    ("Specificity", "specificity", fmt_percent),
+    ("ΣSC(MA)", "sum_sc_ambulance", str),
+    ("ΣSC(IC)", "sum_sc_informal", str),
+    ("ΣWT", "sum_wt", str),
+    ("♯", "treated_cases", str),
+    ("V(IC)", "v_informal", str),
+    ("V(MA)", "v_ambulance", str),
+    ("I(MA)", "interventions", str),
+    ("ΣSC(MA)/♯", "normalized_sc_ambulance", fmt_per_case),
+    ("ΣWT/♯", "normalized_wt", fmt_per_case),
+)
+
 #: Fixed column order of a serialized report row.
-CSV_COLUMNS = [
-    "FP",
-    "FN",
-    "TP",
-    "TN",
-    "Avg. FP/tick",
-    "Avg. FN/tick",
-    "FP rate",
-    "FN rate",
-    "Sensitivity",
-    "Specificity",
-    "ΣSC(MA)",
-    "ΣSC(IC)",
-    "ΣWT",
-    "♯",
-    "V(IC)",
-    "V(MA)",
-    "I(MA)",
-    "ΣSC(MA)/♯",
-    "ΣWT/♯",
-]
+CSV_COLUMNS = [header for header, _, _ in REPORT_COLUMNS]
 
 
 @dataclass
 class MetricsReport:
+    """The raw counters and ledger of one run; every figure derives from them."""
+
     counters: ConfusionCounters
     ledger: CostLedger
     ticks: int
     seed: int
     config: dict
-    fp_rate: Optional[float] = None
-    fn_rate: Optional[float] = None
-    sensitivity: Optional[float] = None
-    specificity: Optional[float] = None
-    fp_rate_as_specificity_complement: Optional[float] = None
-    fn_rate_as_sensitivity_complement: Optional[float] = None
-    avg_fp_per_tick: Optional[float] = None
-    avg_fn_per_tick: Optional[float] = None
-    normalized_sc_ambulance: Optional[float] = None
-    normalized_wt: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        self.finalize()
-
-    def finalize(self) -> "MetricsReport":
-        """(Re)compute every derived figure from the raw counters."""
-        c, led = self.counters, self.ledger
-
-        def safe(fn, *args):
-            try:
-                return fn(*args)
-            except UndefinedMetricError:
-                return None
-
-        self.fp_rate = safe(fp_rate, c.fp, c.tp)
-        self.fn_rate = safe(fn_rate, c.fn, c.tn)
-        self.sensitivity = safe(sensitivity, c.tp, c.fn)
-        self.specificity = safe(specificity, c.tn, c.fp)
-        self.fp_rate_as_specificity_complement = safe(
-            fp_rate_as_specificity_complement, c.tn, c.fp
-        )
-        self.fn_rate_as_sensitivity_complement = safe(
-            fn_rate_as_sensitivity_complement, c.tp, c.fn
-        )
-        self.avg_fp_per_tick = safe(avg_per_tick, c.fp, self.ticks)
-        self.avg_fn_per_tick = safe(avg_per_tick, c.fn, self.ticks)
-        self.normalized_sc_ambulance = safe(
-            normalized_sc, led.sc(AgentKind.AMBULANCE), led.treated_cases
-        )
-        self.normalized_wt = safe(normalized_wt, led.sum_wt, led.treated_cases)
-        return self
 
     def csv_row(self) -> list[str]:
         """One table-shaped row; counts verbatim, ratios at table precision."""
-        c, led = self.counters, self.ledger
-
-        def pct(v):
-            return fmt_percent(v) if v is not None else ""
-
-        def rate(v, places=4):
-            return fmt_rate(v, places) if v is not None else ""
-
-        def per_case(v):
-            return fmt_per_case(v) if v is not None else ""
-
+        record = self.to_dict()
         return [
-            str(c.fp),
-            str(c.fn),
-            str(c.tp),
-            str(c.tn),
-            rate(self.avg_fp_per_tick),
-            rate(self.avg_fn_per_tick),
-            rate(self.fp_rate),
-            fmt_rate_rounded(self.fn_rate, 5) if self.fn_rate is not None else "",
-            pct(self.sensitivity),
-            pct(self.specificity),
-            str(led.sc(AgentKind.AMBULANCE)),
-            str(led.sc(AgentKind.INFORMAL_CARER)),
-            str(led.sum_wt),
-            str(led.treated_cases),
-            str(led.v_informal),
-            str(led.v_ambulance),
-            str(led.interventions),
-            per_case(self.normalized_sc_ambulance),
-            per_case(self.normalized_wt),
+            "" if record[key] is None else display(record[key])
+            for _, key, display in REPORT_COLUMNS
         ]
 
     def to_dict(self) -> dict:
@@ -249,14 +197,18 @@ class MetricsReport:
             "fn": c.fn,
             "tp": c.tp,
             "tn": c.tn,
-            "avg_fp_per_tick": self.avg_fp_per_tick,
-            "avg_fn_per_tick": self.avg_fn_per_tick,
-            "fp_rate": self.fp_rate,
-            "fn_rate": self.fn_rate,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "fp_rate_as_specificity_complement": self.fp_rate_as_specificity_complement,
-            "fn_rate_as_sensitivity_complement": self.fn_rate_as_sensitivity_complement,
+            "avg_fp_per_tick": _safe(avg_per_tick, c.fp, self.ticks),
+            "avg_fn_per_tick": _safe(avg_per_tick, c.fn, self.ticks),
+            "fp_rate": _safe(fp_rate, c.fp, c.tp),
+            "fn_rate": _safe(fn_rate, c.fn, c.tn),
+            "sensitivity": _safe(sensitivity, c.tp, c.fn),
+            "specificity": _safe(specificity, c.tn, c.fp),
+            "fp_rate_as_specificity_complement": _safe(
+                fp_rate_as_specificity_complement, c.tn, c.fp
+            ),
+            "fn_rate_as_sensitivity_complement": _safe(
+                fn_rate_as_sensitivity_complement, c.tp, c.fn
+            ),
             "sum_sc_ambulance": led.sc(AgentKind.AMBULANCE),
             "sum_sc_professional": led.sc(AgentKind.PROFESSIONAL_CARER),
             "sum_sc_informal": led.sc(AgentKind.INFORMAL_CARER),
@@ -265,6 +217,8 @@ class MetricsReport:
             "v_informal": led.v_informal,
             "v_ambulance": led.v_ambulance,
             "interventions": led.interventions,
-            "normalized_sc_ambulance": self.normalized_sc_ambulance,
-            "normalized_wt": self.normalized_wt,
+            "normalized_sc_ambulance": _safe(
+                normalized_sc, led.sc(AgentKind.AMBULANCE), led.treated_cases
+            ),
+            "normalized_wt": _safe(normalized_wt, led.sum_wt, led.treated_cases),
         }

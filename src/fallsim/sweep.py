@@ -13,34 +13,14 @@ import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .metrics import CSV_COLUMNS, MetricsReport
+from .metrics import CSV_COLUMNS, REPORT_COLUMNS, MetricsReport
 from .scenario import Scenario, ScenarioConfig, config_to_dict, run_simulation
 from .world import ConfigurationError
 
 DEFAULT_X_VALUES = tuple(range(0, 45, 5))
 
-#: Report fields aggregated across replications.
-AGGREGATED_FIELDS = [
-    "fp",
-    "fn",
-    "tp",
-    "tn",
-    "avg_fp_per_tick",
-    "avg_fn_per_tick",
-    "fp_rate",
-    "fn_rate",
-    "sensitivity",
-    "specificity",
-    "sum_sc_ambulance",
-    "sum_sc_informal",
-    "sum_wt",
-    "treated_cases",
-    "v_informal",
-    "v_ambulance",
-    "interventions",
-    "normalized_sc_ambulance",
-    "normalized_wt",
-]
+#: Report fields aggregated across replications: the report row's figures.
+AGGREGATED_FIELDS = [key for _, key, _ in REPORT_COLUMNS]
 
 
 def derive_seed(base_seed: int, scenario: Scenario, x_index: int, replication: int) -> int:

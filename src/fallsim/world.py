@@ -115,13 +115,6 @@ def chebyshev(a: Position, b: Position) -> int:
     return max(abs(a.x - b.x), abs(a.y - b.y))
 
 
-def travel_time(a: Position, b: Position, speed: int = 1) -> int:
-    """Ticks needed to cover the Chebyshev distance between two cells."""
-    if speed < 1:
-        raise ValueError("speed must be >= 1")
-    return -(-chebyshev(a, b) // speed)
-
-
 def _place(
     config: WorldConfig,
     rng: Random,

@@ -39,6 +39,7 @@ def build(
     ic_positions=(),
     dispatch_delay=0,
     count_return_travel=True,
+    speed=1,
 ):
     """A pinned layout: houses at (0,0), (0,4), ...; hospital at (8,0).
 
@@ -47,7 +48,7 @@ def build(
     """
     config = WorldConfig(
         half_width=8, half_height=8, n_elderly=n_elderly,
-        n_professional=n_pc, n_ambulances=n_ma,
+        n_professional=n_pc, n_ambulances=n_ma, speed=speed,
     )
     world = World.create(config, Random(0), n_informal=len(ic_positions))
     for i, eid in enumerate(world.elderly_ids):
@@ -208,6 +209,17 @@ class TestEnrollment:
         case = raise_case(engine, world, 0)
         verify = live(engine, case, ProtocolKind.VERIFY_VISIT)
         assert verify.enrolled == [ids[1]]
+
+    def test_fast_carers_rank_by_whole_ticks_then_lowest_id(self):
+        # At speed 2 the carers 4 and 3 cells away both need 2 ticks, so the
+        # lower id wins although the other is nearer.
+        world, _, engine, _ = build(
+            ic_positions=(Position(4, 0), Position(3, 0)), speed=2
+        )
+        ids = world.informal_ids
+        case = raise_case(engine, world, 0)
+        verify = live(engine, case, ProtocolKind.VERIFY_VISIT)
+        assert verify.enrolled == [ids[0]]
 
     def test_enrollment_is_all_or_nothing(self):
         world, _, engine, _ = build(n_pc=1, n_ma=0)

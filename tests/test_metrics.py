@@ -274,12 +274,6 @@ class TestReport:
         assert d["normalized_wt"] == pytest.approx(58617 / 494)
         assert d["treated_cases"] == 494
 
-    def test_finalize_is_idempotent(self):
-        report = self._report()
-        before = report.to_dict()
-        report.finalize()
-        assert report.to_dict() == before
-
     def test_undefined_metrics_serialize_as_none(self):
         report = MetricsReport(
             counters=ConfusionCounters(),

@@ -415,6 +415,15 @@ class TestCli:
         assert "error:" in err
         assert "Traceback" not in err
 
+    def test_config_file_not_in_utf8_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        # UTF-16 with its byte-order mark, as some editors save JSON.
+        config.write_bytes(json.dumps({"ticks": 200}).encode("utf-16"))
+        assert run_cli(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("fallsim: error: cannot read config file")
+        assert "Traceback" not in err
+
     @given(
         data=st.dictionaries(
             st.sampled_from(CONFIG_KEYS),

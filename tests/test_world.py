@@ -17,7 +17,6 @@ from fallsim.world import (
     WorldConfig,
     chebyshev,
     step_toward,
-    travel_time,
     walk_carers,
 )
 
@@ -50,17 +49,6 @@ class TestDistance:
     )
     def test_chebyshev_goldens(self, a, b, expected):
         assert chebyshev(a, b) == expected
-        assert travel_time(a, b) == expected
-
-    def test_travel_time_rounds_up_for_fast_agents(self):
-        a, b = Position(0, 0), Position(7, 0)
-        assert travel_time(a, b, speed=2) == 4
-        assert travel_time(a, b, speed=7) == 1
-        assert travel_time(a, b, speed=100) == 1
-
-    def test_travel_time_rejects_zero_speed(self):
-        with pytest.raises(ValueError):
-            travel_time(Position(0, 0), Position(1, 1), speed=0)
 
     @given(a=positions, b=positions)
     def test_chebyshev_is_a_metric(self, a, b):
@@ -151,7 +139,7 @@ class TestStepToward:
                 step_toward(agent, goal)
                 assert chebyshev(agent.position, goal) == before - 1
                 steps += 1
-            assert steps == travel_time(start, goal)
+            assert steps == chebyshev(start, goal)
 
     def test_immobile_kinds_refuse_to_move(self):
         resident = AgentState(
