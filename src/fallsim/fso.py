@@ -348,14 +348,19 @@ class FsoEngine:
         walking = AgentStatus.RANDOM_WALKING
         tx, ty = target
         best: Optional[AgentState] = None
-        best_ticks = 0
-        # Carers are in id order, so a strict improvement keeps the lowest id.
+        # A carer wins when its distance is below limit: the least distance
+        # that needs as many whole ticks as the best so far. Carers are in id
+        # order, so a strict improvement keeps the lowest id.
+        limit = float("inf")
         for carer in self._carers:
             if carer.status is walking:
                 x, y = carer.position
-                ticks = -(-max(abs(x - tx), abs(y - ty)) // speed)
-                if best is None or ticks < best_ticks:
-                    best, best_ticks = carer, ticks
+                dx = x - tx if x > tx else tx - x
+                dy = y - ty if y > ty else ty - y
+                d = dx if dx > dy else dy
+                if d < limit:
+                    best = carer
+                    limit = (-(-d // speed) - 1) * speed + 1
         return best
 
     def _delay(self, instance: ProtocolInstance) -> int:

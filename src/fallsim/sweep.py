@@ -22,6 +22,15 @@ DEFAULT_X_VALUES = tuple(range(0, 45, 5))
 #: Report fields aggregated across replications: the report row's figures.
 AGGREGATED_FIELDS = [key for _, key, _ in REPORT_COLUMNS]
 
+#: Statistic name -> its value over a field's defined replication values, in
+#: the aggregate CSV's column order.
+AGGREGATE_STATS = {
+    "mean": lambda values: sum(values) / len(values),  # left-to-right by replication
+    "std": lambda values: statistics.pstdev(values) if len(values) > 1 else 0.0,
+    "min": min,
+    "max": max,
+}
+
 
 def derive_seed(base_seed: int, scenario: Scenario, x_index: int, replication: int) -> int:
     """Pure, collision-resistant per-cell seed derivation."""
@@ -59,7 +68,7 @@ class SweepSpec:
 @dataclass
 class AggregateRow:
     x: int
-    stats: dict[str, dict[str, float]]  # field -> {mean, std, min, max}
+    stats: dict[str, dict[str, float]]  # field -> {stat: value}, see AGGREGATE_STATS
 
 
 @dataclass
@@ -108,12 +117,7 @@ def aggregate(x: int, reports: list[MetricsReport]) -> AggregateRow:
         values = [row[name] for row in rows if row[name] is not None]
         if not values:
             continue
-        stats[name] = {
-            "mean": sum(values) / len(values),  # left-to-right by replication
-            "std": statistics.pstdev(values) if len(values) > 1 else 0.0,
-            "min": min(values),
-            "max": max(values),
-        }
+        stats[name] = {stat: fn(values) for stat, fn in AGGREGATE_STATS.items()}
     return AggregateRow(x=x, stats=stats)
 
 
@@ -133,7 +137,7 @@ def emit_aggregate_csv(aggregates: list[AggregateRow], path: Path | str) -> None
         raise ValueError("no rows to serialize")
     header = ["x"]
     for name in AGGREGATED_FIELDS:
-        header += [f"{name} {stat}" for stat in ("mean", "std", "min", "max")]
+        header += [f"{name} {stat}" for stat in AGGREGATE_STATS]
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -143,9 +147,9 @@ def emit_aggregate_csv(aggregates: list[AggregateRow], path: Path | str) -> None
             for name in AGGREGATED_FIELDS:
                 cell = row.stats.get(name)
                 if cell is None:
-                    out += ["", "", "", ""]
+                    out += [""] * len(AGGREGATE_STATS)
                 else:
-                    out += [repr(cell[s]) for s in ("mean", "std", "min", "max")]
+                    out += [repr(cell[s]) for s in AGGREGATE_STATS]
             writer.writerow(out)
 
 

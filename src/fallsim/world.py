@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
+from math import floor
 from random import Random
 from typing import NamedTuple, Optional, Sequence
 
@@ -265,7 +266,9 @@ def walk_carers(
         if carer.status is walking:
             options = neighbours[carer.position]
             # Rejection sampling keeps boundary cells uniform over their valid neighbours.
-            step = options[int(rand() * 8)]
+            # floor(u * 8.0) is int(u * 8) for u in [0, 1), without the type
+            # call and the int-to-float conversion.
+            step = options[floor(rand() * 8.0)]
             while step is None:
-                step = options[int(rand() * 8)]
+                step = options[floor(rand() * 8.0)]
             carer.position = step

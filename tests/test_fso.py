@@ -6,9 +6,12 @@ arrival tick and accrued cost can be computed by hand. Events are read from
 the engine's trace records, its only event output.
 """
 import gc
+import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fallsim.fso import (
     EventKind,
@@ -27,6 +30,7 @@ from fallsim.world import (
     Position,
     World,
     WorldConfig,
+    chebyshev,
 )
 
 HOSPITAL = Position(8, 0)
@@ -220,6 +224,40 @@ class TestEnrollment:
         case = raise_case(engine, world, 0)
         verify = live(engine, case, ProtocolKind.VERIFY_VISIT)
         assert verify.enrolled == [ids[0]]
+
+    @given(
+        carers=st.lists(
+            st.tuples(
+                st.integers(min_value=-8, max_value=8),
+                st.integers(min_value=-8, max_value=8),
+                st.sampled_from(list(AgentStatus)),
+            ),
+            max_size=12,
+        ),
+        target=st.tuples(
+            st.integers(min_value=-8, max_value=8), st.integers(min_value=-8, max_value=8)
+        ),
+        speed=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scan_ranks_walking_carers_by_whole_ticks_then_id(self, carers, target, speed):
+        world, _, engine, _ = build(
+            ic_positions=[Position(x, y) for x, y, _ in carers], speed=speed
+        )
+        for cid, (_, _, status) in zip(world.informal_ids, carers):
+            world.agents[cid].status = status
+        target = Position(*target)
+        walking = [
+            world.agents[cid]
+            for cid in world.informal_ids
+            if world.agents[cid].status is AgentStatus.RANDOM_WALKING
+        ]
+        expected = min(
+            walking,
+            key=lambda c: (math.ceil(chebyshev(c.position, target) / speed), c.id),
+            default=None,
+        )
+        assert engine._nearest_walking_carer(target) is expected
 
     def test_enrollment_is_all_or_nothing(self):
         world, _, engine, _ = build(n_pc=1, n_ma=0)

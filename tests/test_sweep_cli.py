@@ -15,6 +15,8 @@ from fallsim.fso import EventKind, Role, trace_line
 from fallsim.metrics import CSV_COLUMNS
 from fallsim.scenario import Scenario, ScenarioConfig, run_simulation
 from fallsim.sweep import (
+    AGGREGATE_STATS,
+    AGGREGATED_FIELDS,
     DEFAULT_X_VALUES,
     SweepSpec,
     aggregate,
@@ -246,6 +248,25 @@ class TestEmission:
         assert summary["x_values"] == [0, 2]
         assert len(summary["runs"]) == 4
         assert summary["runs"][0]["x"] == 0
+
+    # Without falls the sensitivity is undefined, so its cells are written empty.
+    @pytest.mark.parametrize(
+        "base_config", [FAST, ScenarioConfig(ticks=300, p_fall=0.0)], ids=["falls", "no_falls"]
+    )
+    def test_aggregate_cells_sit_under_their_headers(self, tmp_path, base_config):
+        result = run_sweep(tiny_spec(base_config=base_config))
+        paths = write_outputs(result, tmp_path / "exp")
+        with paths["aggregate"].open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["x"] + [
+            f"{name} {stat}" for name in AGGREGATED_FIELDS for stat in AGGREGATE_STATS
+        ]
+        assert [int(row["x"]) for row in rows] == [agg.x for agg in result.aggregates]
+        for row, agg in zip(rows, result.aggregates):
+            for name in AGGREGATED_FIELDS:
+                cell = agg.stats.get(name)
+                for stat in AGGREGATE_STATS:
+                    assert row[f"{name} {stat}"] == ("" if cell is None else repr(cell[stat]))
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         spec = tiny_spec()

@@ -227,6 +227,61 @@ class TestRandomWalk:
         assert -hw <= agent.position.x <= hw
         assert -hh <= agent.position.y <= hh
 
+    @given(
+        extents=st.tuples(
+            st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
+        ),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=999),
+        ticks=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=200)
+    def test_walk_matches_a_one_carer_reference(self, extents, data, seed, ticks):
+        """Same cells and same draws as a plain walk that takes int(u * 8)."""
+        hw, hh = extents
+        carers = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=-hw, max_value=hw),
+                    st.integers(min_value=-hh, max_value=hh),
+                    st.sampled_from(list(AgentStatus)),
+                ),
+                max_size=8,
+            )
+        )
+        walked = [_carer(Position(x, y)) for x, y, _ in carers]
+        expected = [_carer(Position(x, y)) for x, y, _ in carers]
+        for a, b, (_, _, status) in zip(walked, expected, carers):
+            a.status = b.status = status
+        rng, reference_rng = Random(seed), Random(seed)
+        for _ in range(ticks):
+            walk_carers(walked, rng, hw, hh)
+            _reference_walk(expected, reference_rng, hw, hh)
+        assert [c.position for c in walked] == [c.position for c in expected]
+        assert rng.random() == reference_rng.random()
+
+
+# The eight king moves, in the order a draw of int(u * 8) indexes them.
+_REFERENCE_MOVES = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _reference_walk(carers, rng, hw, hh):
+    """One walking carer at a time: redraw until the move stays on the grid.
+
+    A single-cell grid has no move, so no carer draws.
+    """
+    if hw == 0 and hh == 0:
+        return
+    for carer in carers:
+        if carer.status is not AgentStatus.RANDOM_WALKING:
+            continue
+        while True:
+            dx, dy = _REFERENCE_MOVES[int(rng.random() * 8)]
+            x, y = carer.position.x + dx, carer.position.y + dy
+            if -hw <= x <= hw and -hh <= y <= hh:
+                carer.position = Position(x, y)
+                break
+
 
 class TestConfigValidation:
     def test_sensor_probabilities_validated(self):
