@@ -6,15 +6,13 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .fso import trace_line
-from .metrics import CSV_COLUMNS
+from .metrics import CSV_COLUMNS, emit_csv
 from .scenario import Scenario, ScenarioConfig, run_simulation
-from .sweep import SweepSpec, emit_csv, run_sweep, write_outputs
 from .world import ConfigurationError, SensorModel, WorldConfig
 
 def _parse_bool(text: str) -> bool:
@@ -102,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fallsim",
         description="Seedable multi-agent telecare fall-response simulator",
     )
-    config, spec = ScenarioConfig(), SweepSpec()
+    config = ScenarioConfig()
     sub = parser.add_subparsers(dest="command", required=True)
     run_parser = sub.add_parser("run", help="run a single experiment cell")
     _add_common_flags(run_parser, config)
@@ -111,12 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--trace", type=Path, default=None,
                             help="write every engine event as a JSON line")
     sweep_parser = sub.add_parser("sweep", help="run a carer-count sweep with replications")
-    _add_common_flags(sweep_parser, spec.base_config)
-    sweep_parser.add_argument("--ics", type=_parse_ics, default=spec.x_values,
+    _add_common_flags(sweep_parser, config)
+    # None stands for SweepSpec's own default, which _cmd_sweep fills in, so
+    # that building the parser never loads the sweep module.
+    sweep_parser.add_argument("--ics", type=_parse_ics, default=None,
                               help="informal carer count N, or a range A..B:STEP")
-    sweep_parser.add_argument("--replications", type=int, default=spec.replications)
-    sweep_parser.add_argument("--jobs", type=int, default=spec.jobs)
-    sweep_parser.set_defaults(scenario=spec.scenario.value, seed=spec.base_seed)
+    sweep_parser.add_argument("--replications", type=int, default=None)
+    sweep_parser.add_argument("--jobs", type=int, default=None)
+    sweep_parser.set_defaults(scenario=None, seed=None)
     return parser
 
 
@@ -130,6 +130,9 @@ def _apply_config_file(
     """
     if args.config is None:
         return args
+    # Imported here so a run without --config never loads json.
+    import json
+
     try:
         data = json.loads(args.config.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -187,21 +190,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     finally:
         if fh is not None:
             fh.close()
+    row = report.csv_row()
     if args.out is not None:
-        emit_csv([report.csv_row()], args.out)
-    for name, value in zip(CSV_COLUMNS, report.csv_row()):
+        emit_csv([row], args.out)
+    for name, value in zip(CSV_COLUMNS, row):
         print(f"{name}: {value}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Imported here so a single run never loads the sweep module.
+    from .sweep import SweepSpec, run_sweep, write_outputs
+
+    defaults = SweepSpec()
+    if args.scenario is None:
+        args.scenario = defaults.scenario.value
+    if args.seed is None:
+        args.seed = defaults.base_seed
+    replications = defaults.replications if args.replications is None else args.replications
     spec = SweepSpec(
         scenario=Scenario(args.scenario),
-        x_values=args.ics,
-        replications=args.replications,
+        x_values=defaults.x_values if args.ics is None else args.ics,
+        replications=replications,
         base_seed=args.seed,
         base_config=_scenario_config(args, n_informal=0, seed=args.seed),
-        jobs=args.jobs,
+        jobs=defaults.jobs if args.jobs is None else args.jobs,
     )
     result = run_sweep(spec)
     out_prefix = args.out if args.out is not None else Path(f"sweep_{args.scenario}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 from .world import AgentKind
@@ -166,6 +167,19 @@ REPORT_COLUMNS = (
 
 #: Fixed column order of a serialized report row.
 CSV_COLUMNS = [header for header, _, _ in REPORT_COLUMNS]
+
+
+def emit_csv(rows: list[list[str]], path: Path | str) -> None:
+    """Write report rows under the fixed header; refuses an empty row list."""
+    # Imported here so that importing fallsim never loads csv.
+    import csv
+
+    if not rows:
+        raise ValueError("no rows to serialize")
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .metrics import CSV_COLUMNS, REPORT_COLUMNS, MetricsReport
+from .metrics import REPORT_COLUMNS, MetricsReport, emit_csv
 from .scenario import Scenario, ScenarioConfig, config_to_dict, run_simulation
 from .world import ConfigurationError
 
@@ -119,17 +119,6 @@ def aggregate(x: int, reports: list[MetricsReport]) -> AggregateRow:
             continue
         stats[name] = {stat: fn(values) for stat, fn in AGGREGATE_STATS.items()}
     return AggregateRow(x=x, stats=stats)
-
-
-def emit_csv(rows: list[list[str]], path: Path | str) -> None:
-    """Write report rows under the fixed header; refuses an empty row list."""
-    if not rows:
-        raise ValueError("no rows to serialize")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
 
 
 def emit_aggregate_csv(aggregates: list[AggregateRow], path: Path | str) -> None:

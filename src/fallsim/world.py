@@ -102,6 +102,12 @@ class WorldConfig:
             raise ConfigurationError("agent counts must be non-negative")
         if self.speed < 1:
             raise ConfigurationError("speed must be >= 1")
+        n_cells = self.width * self.height
+        if self.n_elderly + 1 > n_cells:
+            raise ConfigurationError(
+                f"grid of {n_cells} cells cannot hold {self.n_elderly} distinct "
+                "houses plus a hospital"
+            )
 
     @property
     def width(self) -> int:
@@ -131,11 +137,6 @@ def _place(
     if n_informal < 0 or detectors_per_elderly < 0:
         raise ConfigurationError("agent counts must be non-negative")
     n_cells = config.width * config.height
-    if config.n_elderly + 1 > n_cells:
-        raise ConfigurationError(
-            f"grid of {n_cells} cells cannot hold {config.n_elderly} distinct "
-            "houses plus a hospital"
-        )
 
     def cell(index: int) -> Position:
         return Position(

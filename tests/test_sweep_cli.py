@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fallsim import sweep
 from fallsim.cli import build_parser, main
 from fallsim.fso import EventKind, Role, trace_line
-from fallsim.metrics import CSV_COLUMNS
+from fallsim.metrics import CSV_COLUMNS, emit_csv
 from fallsim.scenario import Scenario, ScenarioConfig, run_simulation
 from fallsim.sweep import (
     AGGREGATE_STATS,
@@ -21,7 +22,6 @@ from fallsim.sweep import (
     SweepSpec,
     aggregate,
     derive_seed,
-    emit_csv,
     run_sweep,
     write_outputs,
 )
@@ -209,22 +209,38 @@ class TestRunSweep:
         assert sizes == [2]
         assert len(one_cell.reports) == 1
 
-    def test_serial_use_never_imports_the_pool(self):
-        # A fresh interpreter, because this one may have run a pool already.
+    def test_runs_import_only_what_they_use(self, tmp_path):
+        run_argv = ["run", "--ticks", "20", "--trace", str(tmp_path / "t.jsonl"),
+                    "--out", str(tmp_path / "r.csv")]
+        sweep_argv = ["sweep", "--ics", "0", "--replications", "1", "--ticks", "20",
+                      "--out", str(tmp_path / "sw")]
+        # A fresh interpreter, because this one may have loaded any of these.
+        # The pool is for parallel sweeps only; the sweep module, with its
+        # hashing, statistics and json, for sweeps, and json for config
+        # files. A plain run loads none of them.
         probe = (
-            "import sys\n"
-            "def pools():\n"
-            "    return sorted(m for m in sys.modules\n"
-            "                  if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+            "import contextlib, io, sys\n"
+            "BANNED = ('concurrent', 'multiprocessing', 'hashlib', '_hashlib',\n"
+            "          'statistics', 'fractions', 'decimal', 'json', 'fallsim.sweep')\n"
+            "before = set(sys.modules)\n"
+            "def added(names=BANNED):\n"
+            "    return sorted(m for m in set(sys.modules) - before\n"
+            "                  if m in names or m.split('.')[0] in names)\n"
             "import fallsim\n"
-            "print(pools())\n"
+            "print(added())\n"
             "import fallsim.cli\n"
-            "print(pools())\n"
+            "print(added())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = fallsim.cli.main({run_argv!r})\n"
+            "print(code, added())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = fallsim.cli.main({sweep_argv!r})\n"
+            "print(code, added(('concurrent', 'multiprocessing')))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         ).stdout
-        assert out.splitlines() == ["[]", "[]"]
+        assert out.splitlines() == ["[]", "[]", "0 []", "0 []"]
 
 
 class TestEmission:
@@ -290,17 +306,25 @@ class TestCli:
         expected = [f"{name}: {value}" for name, value in zip(CSV_COLUMNS, report.csv_row())]
         assert capsys.readouterr().out.splitlines() == expected
 
-    def test_parser_defaults_are_the_dataclass_defaults(self):
-        parser = build_parser()
-        config, spec = ScenarioConfig(), SweepSpec()
-        run = parser.parse_args(["run"])
+    def test_parser_defaults_are_the_dataclass_defaults(self, monkeypatch):
+        config = ScenarioConfig()
+        run = build_parser().parse_args(["run"])
         assert (run.scenario, run.seed, run.ics) == (
             config.scenario.value, config.seed, config.n_informal
         )
-        sweep = parser.parse_args(["sweep"])
-        assert (sweep.scenario, sweep.seed, sweep.ics, sweep.replications, sweep.jobs) == (
-            spec.scenario.value, spec.base_seed, spec.x_values, spec.replications, spec.jobs
-        )
+
+        # A bare sweep runs exactly SweepSpec's defaults, filled in by the
+        # command rather than by the parser.
+        class Ran(Exception):
+            pass
+
+        def capture(spec):
+            raise Ran(spec)
+
+        monkeypatch.setattr(sweep, "run_sweep", capture)
+        with pytest.raises(Ran) as ran:
+            main(["sweep"])
+        assert ran.value.args[0] == SweepSpec()
 
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
@@ -383,6 +407,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err.splitlines()[-1]
         assert "Traceback" not in err
+
+    def test_config_error_leaves_the_trace_file_alone(self, tmp_path, capsys):
+        # A 3x3 grid cannot hold the default 30 houses; the run must refuse
+        # before it opens, and so truncates, an existing trace.
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(b'{"tick": 0}\n')
+        assert main(["run", "--grid", "3x3", "--trace", str(trace)]) == 2
+        assert trace.read_bytes() == b'{"tick": 0}\n'
+        assert capsys.readouterr().err == (
+            "error: grid of 9 cells cannot hold 30 distinct houses plus a hospital\n"
+        )
 
     def test_unwritable_output_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
